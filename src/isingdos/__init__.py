@@ -1,9 +1,9 @@
 """Exact density of states and partition function for finite Ising lattices.
 
-Configurations are enumerated exhaustively through bit-word kernels
-(popcount and circular-shift lookup tables), in parallel shards that merge
-into an exact integer g(M, E) histogram; thermodynamic observables follow
-from it at any field and temperature.  A deliberately naive oracle engine
+Configurations are enumerated exhaustively, each 64-bit index classified
+whole by masked rotations and vector popcounts, in parallel shards that
+merge into an exact integer g(M, E) histogram; thermodynamic observables
+follow from it at any field and temperature.  A deliberately naive oracle engine
 cross-checks everything on small lattices.
 """
 

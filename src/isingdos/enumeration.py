@@ -1,10 +1,12 @@
 """Exhaustive sharded walk of the configuration space and the g(M, E) histogram.
 
 The 2^N indices are split into contiguous, near-equal shards; each shard is
-classified in vectorized batches through the bit-word kernels and binned
-into a dense (spin excess, exchange energy) histogram of exact integer
-counts.  Shard results merge by elementwise addition, so the total is
-bit-identical for any shard count or merge order.
+classified in vectorized uint64 batches (one vector popcount for the spin
+excess and one per periodic axis, after a masked rotation of the whole
+index, for the anti-aligned bonds) and binned into a dense (spin excess,
+exchange energy) histogram of exact integer counts.  Shard results merge
+by elementwise addition, so the total is bit-identical for any shard
+count or merge order.
 """
 
 import math
@@ -15,15 +17,11 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .lattice import (
-    TABLE_ROWS_CAP,
-    KernelTables,
-    LatticeSpec,
-    build_tables,
-)
+from .lattice import LatticeSpec
 
-# Batches must stay small enough that the live per-word arrays sit in L2;
-# measured optimum on commodity cores (32 ns/config at 8k vs 160 ns at 64k).
+# Batches must stay small enough that the live uint64 arrays sit in L2: on
+# 5x5 (2-vCPU x86 host, numpy 2.4) 8k and 16k both walk at 13-14 ns/config,
+# 4k at 20 and 32k at 19.
 DEFAULT_BATCH = 1 << 13
 
 
@@ -164,55 +162,12 @@ class DoSHistogram:
 
 # -- the vectorized walk ----------------------------------------------------
 
-def _classify_batch(spec, tables, idx):
-    """(ups, anti) per index: set-bit total and anti-aligned bond count.
-
-    idx is a uint64 batch of configuration indices.  Every kernel
-    evaluation (one per word for the shift kernel, one per neighboring
-    word pair for the XOR kernel) covers `rows` bond slots, B in total,
-    so aligned bonds = B - anti.
-    """
-    rows = spec.rows
-    nwords = spec.num_words
-    pairs = spec.word_neighbor_pairs()
-    if tables is not None:
-        mask = np.uint64(spec.word_mask)
-        pc = tables.popcount_table
-        sh = tables.shift_table
-        words = [((idx >> np.uint64(w * rows)) & mask).astype(np.int64)
-                 for w in range(nwords)]
-        ups = pc[words[0]].copy()
-        anti = pc[words[0] ^ sh[words[0]]].copy()
-        for w in words[1:]:
-            ups += pc[w]
-            anti += pc[w ^ sh[w]]
-        for a, b in pairs:
-            anti += pc[words[a] ^ words[b]]
-    else:
-        # rows > 16: no tables; hardware popcount and computed shifts.
-        mask = np.uint64(spec.word_mask)
-        one = np.uint64(1)
-        back = np.uint64(rows - 1)
-        words = [(idx >> np.uint64(w * rows)) & mask for w in range(nwords)]
-        ups = np.zeros(idx.shape, dtype=np.int64)
-        anti = np.zeros(idx.shape, dtype=np.int64)
-        for w in words:
-            ups += np.bitwise_count(w).astype(np.int64)
-            shifted = ((w << one) | (w >> back)) & mask
-            anti += np.bitwise_count(w ^ shifted).astype(np.int64)
-        for a, b in pairs:
-            anti += np.bitwise_count(words[a] ^ words[b]).astype(np.int64)
-    return ups, anti
-
-
-def enumerate_shard(spec: LatticeSpec, tables: KernelTables | None,
-                    shard: Shard, batch_size: int = DEFAULT_BATCH) -> DoSHistogram:
+def enumerate_shard(spec: LatticeSpec, shard: Shard,
+                    batch_size: int = DEFAULT_BATCH) -> DoSHistogram:
     """Classify every configuration index in the shard's range into g(M, E).
 
     Args:
         spec:   lattice geometry and coupling.
-        tables: kernel tables for spec.rows, or None for the direct-popcount
-                fallback (mandatory when rows > 16).
         shard:  half-open index range to walk.
         batch_size: indices classified per vectorized step.
 
@@ -223,16 +178,27 @@ def enumerate_shard(spec: LatticeSpec, tables: KernelTables | None,
         raise ValueError(f"shard range [{shard.start_index}, {shard.end_index}) "
                          f"invalid for 2^{spec.num_spins} configurations")
     n, b = spec.num_spins, spec.num_bonds
-    ferro = spec.coupling > 0
+    rotations = [tuple(np.uint64(v) for v in r) for r in spec.axis_rotations]
     flat = np.zeros((n + 1) * (b + 1), dtype=np.int64)
     for start in range(shard.start_index, shard.end_index, batch_size):
         stop = min(start + batch_size, shard.end_index)
         idx = np.arange(start, stop, dtype=np.uint64)
-        ups, anti = _classify_batch(spec, tables, idx)
-        # J > 0: e_idx = (E/|J| + B)/2 = B - En = anti; J < 0 mirrors it.
-        e_idx = anti if ferro else b - anti
-        flat += np.bincount(ups * (b + 1) + e_idx, minlength=flat.size)
-    return DoSHistogram(spec, flat.reshape(n + 1, b + 1))
+        # Set bits of idx ^ rotation are the anti-aligned bonds along one
+        # axis; over all axes they cover the B bonds once each.
+        anti = np.zeros(idx.shape, dtype=np.uint8)
+        for shift, keep, back, wrap in rotations:
+            rot = (idx << shift) & keep
+            rot |= (idx >> back) & wrap
+            rot ^= idx
+            anti += np.bitwise_count(rot)
+        ups = np.bitwise_count(idx)
+        flat += np.bincount(ups * np.intp(b + 1) + anti, minlength=flat.size)
+    counts = flat.reshape(n + 1, b + 1)
+    if spec.coupling < 0:
+        # E = J * (2*anti - B): column `anti` is the energy index for J > 0,
+        # and J < 0 mirrors the energy axis.
+        counts = counts[:, ::-1].copy()
+    return DoSHistogram(spec, counts)
 
 
 def merge(parts, spec: LatticeSpec | None = None) -> DoSHistogram:
@@ -356,9 +322,8 @@ def available_parallelism() -> int:
 def _shard_worker(args):
     # Runs in a worker process; each worker reports its own interval.
     spec, shard, batch_size = args
-    tables = build_tables(spec.rows) if spec.rows <= TABLE_ROWS_CAP else None
     t0 = time.perf_counter()
-    hist = enumerate_shard(spec, tables, shard, batch_size=batch_size)
+    hist = enumerate_shard(spec, shard, batch_size=batch_size)
     return hist.counts, time.perf_counter() - t0
 
 

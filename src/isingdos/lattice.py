@@ -1,4 +1,4 @@
-"""Bit-word encoding of finite Ising lattices and exact per-configuration kernels.
+"""Bit layout of finite Ising lattices and exact per-configuration kernels.
 
 A spin configuration is a single integer index in [0, 2^N).  Each lattice
 column (a run of `rows` spins) occupies one contiguous bit field of the
@@ -7,14 +7,15 @@ Bit r of word w is the spin at row r of that column; bit value 1 means
 spin up (S = +1), 0 means spin down (S = -1).
 
 Word order is column-major over the (col, layer) grid: word w = layer*cols + col.
-Bonds along the row axis are internal to one word and counted with the
-circular-shift kernel; bonds along the column axis (and the layer axis in
-3D) couple two words and are counted with the XOR kernel.
+Each periodic axis is a masked rotation of the whole index
+(`LatticeSpec.axis_rotations`), which the batch walk uses; the scalar
+table, shift and XOR kernels below classify one decoded configuration.
 
 All types are immutable and all kernels are pure functions, so specs and
 tables can be shared freely across worker processes.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,6 @@ import numpy as np
 #: Hard cap on total spins: the configuration index must fit comfortably
 #: in an unsigned 64-bit integer.
 MAX_SPINS = 40
-
-#: A column word must fit the significant-bit mask of a 32-bit word.
-MAX_ROWS = 30
 
 #: Lookup tables are built only up to 2^16 entries; taller columns use
 #: direct bit counting and on-the-fly circular shifts.
@@ -35,7 +33,7 @@ TABLE_ROWS_CAP = 16
 class LatticeSpec:
     """Geometry and coupling of a periodic Ising lattice.
 
-    rows:     column height n (spins per bit-word), 2..30
+    rows:     column height n (spins per bit-word), >= 2
     cols:     number of columns, >= 2
     depth:    number of layers; 1 for 2D, >= 2 for 3D
     coupling: uniform exchange constant J (default +1; negative for
@@ -59,14 +57,14 @@ class LatticeSpec:
             )
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.rows > MAX_ROWS:
-            raise ValueError(f"rows={self.rows} exceeds the cap of {MAX_ROWS}")
         n = self.rows * self.cols * self.depth
         if n > MAX_SPINS:
             raise ValueError(
                 f"{n} spins exceeds the cap of {MAX_SPINS} "
                 f"(2^N must fit a 64-bit index with headroom)"
             )
+        if not math.isfinite(self.coupling):
+            raise ValueError(f"coupling J must be finite, got {self.coupling}")
         if self.coupling == 0:
             raise ValueError("coupling J must be nonzero")
         # Keep J integral when it is one: energies then stay exact ints.
@@ -98,6 +96,27 @@ class LatticeSpec:
     def word_mask(self) -> int:
         """Mask of the rows significant bits of one column word."""
         return (1 << self.rows) - 1
+
+    @property
+    def axis_rotations(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(shift, keep, back, wrap) per periodic axis: rows, cols, layers in 3D.
+
+        ``((x << shift) & keep) | ((x >> back) & wrap)`` moves every spin of
+        index x one step along the axis, periodically: `wrap` marks the
+        sites at coordinate 0 and `keep` the other N bits.  The popcount of
+        x XOR that counts the axis's anti-aligned bonds; on a length-2 axis
+        each site meets its one neighbour from both sides, the double bond.
+        """
+        n = self.num_spins
+        out = []
+        axes = [(1, self.rows), (self.rows, self.cols)]
+        if self.depth > 1:
+            axes.append((self.rows * self.cols, self.depth))
+        for stride, length in axes:
+            wrap = sum(((1 << stride) - 1) << b
+                       for b in range(0, n, stride * length))
+            out.append((stride, ((1 << n) - 1) ^ wrap, stride * (length - 1), wrap))
+        return tuple(out)
 
     def word_neighbor_pairs(self) -> list[tuple[int, int]]:
         """Periodic inter-word bond pairs: the col axis, plus the layer axis in 3D.

@@ -53,6 +53,17 @@ def test_dos_rejects_over_spin_cap(capsys):
     assert "cap of 40" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coupling", ["nan", "inf", "-inf"])
+def test_dos_rejects_non_finite_coupling(tmp_path, capsys, coupling):
+    out = tmp_path / "dos.csv"
+    assert run_cli("dos", "--rows", "2", "--cols", "2", "--workers", "1",
+                   f"--coupling={coupling}", "--out", str(out)) == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error: validation:")
+    assert "finite" in first
+    assert not out.exists()
+
+
 def test_dos_unwritable_path_is_io_error(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "dos.csv"
     assert run_cli("dos", "--rows", "2", "--cols", "2",

@@ -81,6 +81,14 @@ def test_parse_error_inconsistent_geometry(dos2x2):
         parse_dos_csv("\n".join(lines))
 
 
+def test_parse_error_non_finite_coupling(dos2x2):
+    lines = _lines(dos2x2)
+    lines[0] = lines[0].replace("J=1 ", "J=nan ")
+    with pytest.raises(DosFileError, match="finite") as err:
+        parse_dos_csv("\n".join(lines))
+    assert err.value.line == 1
+
+
 def test_parse_error_missing_column_header(dos2x2):
     lines = _lines(dos2x2)
     del lines[1]

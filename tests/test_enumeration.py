@@ -4,15 +4,15 @@ import pytest
 from isingdos import (
     DoSHistogram,
     LatticeSpec,
-    build_tables,
-    decode_config,
+    decode_spins,
     enumerate_shard,
     full_dos,
     full_dos_timed,
     make_shards,
     merge,
-    spin_excess,
-    total_energy,
+    oracle_energy,
+    oracle_full_dos,
+    oracle_magnetization,
     verify_dos,
 )
 from isingdos.enumeration import Shard
@@ -66,17 +66,15 @@ def test_make_shards_rejects_out_of_range():
 
 def test_enumerate_full_range_2x2():
     spec = LatticeSpec(2, 2)
-    tables = build_tables(2)
-    dos = enumerate_shard(spec, tables, make_shards(spec, 1)[0])
+    dos = enumerate_shard(spec, make_shards(spec, 1)[0])
     assert dos.cells() == DOS_2X2_CELLS
     assert dos.total() == 16
 
 
 def test_enumerate_empty_shard():
     spec = LatticeSpec(2, 2)
-    tables = build_tables(2)
     empty = Shard(shard_id=0, num_shards=1, start_index=5, end_index=5)
-    dos = enumerate_shard(spec, tables, empty)
+    dos = enumerate_shard(spec, empty)
     assert dos.total() == 0
     assert not np.any(dos.counts)
 
@@ -85,63 +83,79 @@ def test_enumerate_touches_each_index_once():
     # Every configuration lands in exactly one cell, so the partial totals
     # count the visited indices.
     spec = LatticeSpec(3, 3)
-    tables = build_tables(3)
     for shard in make_shards(spec, 5):
-        part = enumerate_shard(spec, tables, shard)
+        part = enumerate_shard(spec, shard)
         assert part.total() == shard.size
 
 
 def test_enumerate_rejects_bad_shard():
     spec = LatticeSpec(2, 2)
-    tables = build_tables(2)
     with pytest.raises(ValueError):
-        enumerate_shard(spec, tables, Shard(0, 1, 0, 17))
+        enumerate_shard(spec, Shard(0, 1, 0, 17))
 
 
 def test_enumerate_tall_columns_without_tables():
-    # rows past the table cap: the batch kernel must fall back to hardware
-    # popcount and computed shifts.  Check a slice against the scalar path.
+    # Past the oracle's full-walk cap: check a slice of 17x2 (34 spins)
+    # configuration by configuration against the naive engine.
     spec = LatticeSpec(17, 2)
     shard = Shard(shard_id=0, num_shards=1, start_index=123456,
                   end_index=123456 + 4096)
-    dos = enumerate_shard(spec, None, shard)
+    dos = enumerate_shard(spec, shard)
     assert dos.total() == 4096
     expected = DoSHistogram(spec)
     for index in range(shard.start_index, shard.end_index):
-        cfg = decode_config(spec, index)
-        m = spin_excess(cfg, spec)
-        e = total_energy(cfg, spec, None)
+        spins = decode_spins(spec, index)
+        m = oracle_magnetization(spins)
+        e = oracle_energy(spins, spec)
         expected.counts[expected.m_index(m), expected.e_index(e)] += 1
     assert dos == expected
 
 
 def test_enumerate_batch_size_is_invisible():
     spec = LatticeSpec(3, 4)
-    tables = build_tables(3)
     shard = make_shards(spec, 1)[0]
-    reference = enumerate_shard(spec, tables, shard)
+    reference = enumerate_shard(spec, shard)
     for batch in (1, 7, 64, 1 << 20):
-        assert enumerate_shard(spec, tables, shard, batch_size=batch) == reference
+        assert enumerate_shard(spec, shard, batch_size=batch) == reference
+
+
+# Every boundary shape the axis rotations handle: a length-2 axis on each
+# side, axes of length >= 3 together, and J = -1 in 2D and 3D.
+@pytest.mark.parametrize("dims,coupling", [
+    ((2, 5, 1), 1), ((5, 2, 1), 1), ((2, 2, 1), 1), ((2, 2, 2), 1),
+    ((3, 2, 2), 1), ((2, 3, 2), 1), ((2, 2, 3), 1), ((3, 4, 1), 1),
+    ((2, 3, 3), 1), ((3, 4, 1), -1), ((2, 2, 3), -1),
+])
+def test_enumerate_full_range_matches_oracle(dims, coupling):
+    spec = LatticeSpec(*dims, coupling=coupling)
+    whole = make_shards(spec, 1)[0]
+    dos = enumerate_shard(spec, whole)
+    assert dos == oracle_full_dos(spec)
+    # A batch size that does not divide 2^N, and a shard that starts 3
+    # indices into a batch: the pieces still add up to the same histogram.
+    batch = 7
+    cut = spec.num_configs // 2 // batch * batch + 3
+    head = enumerate_shard(spec, Shard(0, 2, 0, cut), batch_size=batch)
+    tail = enumerate_shard(spec, Shard(1, 2, cut, spec.num_configs),
+                           batch_size=batch)
+    assert merge([head, tail]) == dos
 
 
 # -- merging ------------------------------------------------------------------
 
 def test_merge_of_halves_matches_full(dos2x2):
     spec = LatticeSpec(2, 2)
-    tables = build_tables(2)
-    parts = [enumerate_shard(spec, tables, s) for s in make_shards(spec, 2)]
+    parts = [enumerate_shard(spec, s) for s in make_shards(spec, 2)]
     assert merge(parts) == dos2x2
 
 
 def test_merge_quarter_shards_matches_single(dos4x4, spec4x4):
-    tables = build_tables(4)
-    parts = [enumerate_shard(spec4x4, tables, s) for s in make_shards(spec4x4, 4)]
+    parts = [enumerate_shard(spec4x4, s) for s in make_shards(spec4x4, 4)]
     assert merge(parts) == dos4x4
 
 
 def test_merge_is_order_invariant(spec4x4):
-    tables = build_tables(4)
-    parts = [enumerate_shard(spec4x4, tables, s) for s in make_shards(spec4x4, 3)]
+    parts = [enumerate_shard(spec4x4, s) for s in make_shards(spec4x4, 3)]
     assert merge(parts) == merge(parts[::-1])
 
 
@@ -167,10 +181,9 @@ def test_merge_rejects_mismatched_specs():
 @pytest.mark.parametrize("dims", [(3, 4, 1), (4, 4, 1)])
 def test_shard_count_never_changes_the_histogram(dims):
     spec = LatticeSpec(*dims)
-    tables = build_tables(spec.rows)
-    baseline = enumerate_shard(spec, tables, make_shards(spec, 1)[0])
+    baseline = enumerate_shard(spec, make_shards(spec, 1)[0])
     for p in (2, 3, 4, 8):
-        parts = [enumerate_shard(spec, tables, s) for s in make_shards(spec, p)]
+        parts = [enumerate_shard(spec, s) for s in make_shards(spec, p)]
         assert merge(parts) == baseline
 
 
