@@ -11,15 +11,15 @@ from .bench import BenchRecord, ResultMismatchError, emit_scaling_report, \
     parse_scaling_report, run_bench
 from .dosio import DosFileError, format_dos_csv, format_dos_json, parse_dos, \
     read_dos, write_dos
-from .enumeration import DoSHistogram, Shard, VerificationReport, \
-    available_parallelism, enumerate_shard, full_dos, full_dos_timed, \
-    make_shards, merge, verify_dos
+from .enumeration import DoSHistogram, Shard, available_parallelism, \
+    enumerate_shard, full_dos, full_dos_timed, make_shards, merge
 from .lattice import Configuration, KernelTables, LatticeSpec, \
     aligned_column_bonds, aligned_row_bonds, build_tables, decode_config, \
     encode_words, popcount, spin_excess, total_energy
 from .oracle import brute_force_log_z, decode_spins, oracle_energy, \
     oracle_full_dos, oracle_magnetization
 from .thermo import ThermoPoint, partition_point, thermo_sweep
+from .verify import VerificationReport, verify_dos
 
 __version__ = "0.1.0"
 

@@ -7,21 +7,26 @@ check-failed, io}.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from .bench import ResultMismatchError, emit_scaling_report, run_bench
 from .dosio import DosFileError, format_dos_csv, format_dos_json, read_dos
-from .enumeration import available_parallelism, full_dos, full_dos_timed, verify_dos
+from .enumeration import full_dos, full_dos_timed
 from .lattice import LatticeSpec
 from .oracle import oracle_full_dos
 from .thermo import thermo_sweep
+from .verify import verify_dos
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+#: Largest temperature grid `thermo` evaluates.
+MAX_THERMO_POINTS = 1_000_000
 
 
 def _positive_int(text: str) -> int:
@@ -53,14 +58,13 @@ def _spec_from_args(args) -> LatticeSpec:
 
 def cmd_dos(args) -> int:
     spec = _spec_from_args(args)
-    workers = args.workers if args.workers is not None else available_parallelism()
-    hist, wall, _ = full_dos_timed(spec, workers=workers)
+    hist, wall, per_worker = full_dos_timed(spec, workers=args.workers)
     text = format_dos_json(hist) if args.json else format_dos_csv(hist)
     _write_output(text, args.out)
     # With --out - the table owns stdout, so the summary moves to stderr.
     summary_stream = sys.stderr if args.out == "-" else sys.stdout
     print(f"N={spec.num_spins} spins, B={spec.num_bonds} bonds, "
-          f"{hist.total()} configurations, {workers} worker(s), "
+          f"{hist.total()} configurations, {len(per_worker)} worker(s), "
           f"{wall:.3f} s elapsed", file=summary_stream)
     return EXIT_OK
 
@@ -76,11 +80,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_thermo(args) -> int:
+    for name in ("field", "tmin", "tmax", "tstep"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(args, name)}")
     if args.tstep <= 0:
         raise ValueError(f"tstep must be > 0, got {args.tstep}")
     if args.tmax < args.tmin:
         raise ValueError(f"tmax {args.tmax} < tmin {args.tmin}")
-    n_steps = int((args.tmax - args.tmin) / args.tstep + 1e-9) + 1
+    # Checked as a float first: the quotient may be far past any int grid.
+    steps = (args.tmax - args.tmin) / args.tstep
+    if steps >= MAX_THERMO_POINTS:
+        raise ValueError(f"temperature grid of {steps:.3g} steps exceeds "
+                         f"{MAX_THERMO_POINTS} points")
+    n_steps = int(steps + 1e-9) + 1
     temps = [args.tmin + i * args.tstep for i in range(n_steps)]
     dos = read_dos(args.dos_file)
     points = thermo_sweep(dos, args.field, temps)
@@ -138,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dos", help="enumerate the full density of states")
     add_lattice_args(p)
     p.add_argument("--workers", type=_positive_int, default=None,
-                   help="shard workers (default: available cores; 1 = serial)")
+                   help="shard workers (default: cores, 1 up to 2^12 configs)")
     p.add_argument("--out", required=True, help="output path, or - for stdout")
     p.add_argument("--json", action="store_true",
                    help="emit a JSON object instead of CSV")

@@ -8,8 +8,10 @@ spin up (S = +1), 0 means spin down (S = -1).
 
 Word order is column-major over the (col, layer) grid: word w = layer*cols + col.
 Each periodic axis is a masked rotation of the whole index
-(`LatticeSpec.axis_rotations`), which the batch walk uses; the scalar
-table, shift and XOR kernels below classify one decoded configuration.
+(`LatticeSpec.axis_rotations`); XORed with the index it marks the axis's
+anti-aligned bonds, packed into uint64 words for the split-index walk by
+`LatticeSpec.bond_words`.  The scalar table, shift and XOR kernels below
+classify one decoded configuration.
 
 All types are immutable and all kernels are pure functions, so specs and
 tables can be shared freely across worker processes.
@@ -117,6 +119,24 @@ class LatticeSpec:
                        for b in range(0, n, stride * length))
             out.append((stride, ((1 << n) - 1) ^ wrap, stride * (length - 1), wrap))
         return tuple(out)
+
+    def bond_words(self, x: np.ndarray) -> list[np.ndarray]:
+        """Anti-aligned bond masks of the uint64 indices x, packed in words.
+
+        Each periodic axis gives the N-bit mask x XOR (x moved one step
+        along the axis); the masks sit as many to a uint64 word as fit.  The
+        map is linear over GF(2): for H and L with disjoint bits, the words
+        of H | L are the words of H XOR the words of L.
+        """
+        n = self.num_spins
+        per_word, words = 64 // n, []
+        for i, (shift, keep, back, wrap) in enumerate(self.axis_rotations):
+            d = ((x << shift) & keep | (x >> back) & wrap) ^ x
+            if i % per_word:
+                words[-1] |= d << n * (i % per_word)
+            else:
+                words.append(d)
+        return words
 
     def word_neighbor_pairs(self) -> list[tuple[int, int]]:
         """Periodic inter-word bond pairs: the col axis, plus the layer axis in 3D.

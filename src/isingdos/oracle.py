@@ -7,6 +7,7 @@ with the fast engine is therefore evidence, not tautology.  Slow on
 purpose; capped at 24 spins.
 """
 
+import functools
 import math
 
 from .enumeration import DoSHistogram
@@ -37,7 +38,8 @@ def decode_spins(spec: LatticeSpec, index: int) -> list[int]:
             for r, c, l in site_order(spec)]
 
 
-def bond_pairs(spec: LatticeSpec) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=64)
+def bond_pairs(spec: LatticeSpec) -> tuple[tuple[int, int], ...]:
     """Every periodic nearest-neighbor bond exactly once, as spin-array index pairs.
 
     Each site is paired with its +1 neighbor along every axis (rows, cols,
@@ -55,7 +57,7 @@ def bond_pairs(spec: LatticeSpec) -> list[tuple[int, int]]:
         pairs.append((here, flat[(r, (c + 1) % spec.cols, l)]))
         if spec.depth > 1:
             pairs.append((here, flat[(r, c, (l + 1) % spec.depth)]))
-    return pairs
+    return tuple(pairs)
 
 
 def oracle_energy(spins, spec: LatticeSpec):
@@ -68,12 +70,8 @@ def oracle_magnetization(spins) -> int:
     return sum(spins)
 
 
-def oracle_full_dos(spec: LatticeSpec) -> DoSHistogram:
-    """Exact g(M, E) by brute enumeration of all 2^N configurations.
-
-    Raises:
-        ValueError: if the lattice has more than ORACLE_MAX_SPINS spins.
-    """
+def _walk(spec: LatticeSpec):
+    """(M, E) of every configuration in index order, spin by spin and bond by bond."""
     n = spec.num_spins
     if n > ORACLE_MAX_SPINS:
         raise ValueError(
@@ -81,13 +79,20 @@ def oracle_full_dos(spec: LatticeSpec) -> DoSHistogram:
         )
     positions = [_bit_position(spec, r, c, l) for r, c, l in site_order(spec)]
     pairs = bond_pairs(spec)
-    hist = DoSHistogram(spec)
-    counts = hist.counts
     for index in range(spec.num_configs):
         spins = [1 if (index >> p) & 1 else -1 for p in positions]
-        m = sum(spins)
-        e = -spec.coupling * sum(spins[i] * spins[j] for i, j in pairs)
-        counts[hist.m_index(m), hist.e_index(e)] += 1
+        yield sum(spins), -spec.coupling * sum(spins[i] * spins[j] for i, j in pairs)
+
+
+def oracle_full_dos(spec: LatticeSpec) -> DoSHistogram:
+    """Exact g(M, E) by brute enumeration of all 2^N configurations.
+
+    Raises:
+        ValueError: if the lattice has more than ORACLE_MAX_SPINS spins.
+    """
+    hist = DoSHistogram(spec)
+    for m, e in _walk(spec):
+        hist.counts[hist.m_index(m), hist.e_index(e)] += 1
     return hist
 
 
@@ -100,17 +105,5 @@ def brute_force_log_z(spec: LatticeSpec, h: float, temperature: float) -> float:
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    n = spec.num_spins
-    if n > ORACLE_MAX_SPINS:
-        raise ValueError(
-            f"{n} spins exceeds the oracle cap of {ORACLE_MAX_SPINS}"
-        )
-    positions = [_bit_position(spec, r, c, l) for r, c, l in site_order(spec)]
-    pairs = bond_pairs(spec)
-    terms = []
-    for index in range(spec.num_configs):
-        spins = [1 if (index >> p) & 1 else -1 for p in positions]
-        m = sum(spins)
-        e = -spec.coupling * sum(spins[i] * spins[j] for i, j in pairs)
-        terms.append(math.exp(-(e - h * m) / temperature))
-    return math.log(math.fsum(terms))
+    return math.log(math.fsum(math.exp(-(e - h * m) / temperature)
+                              for m, e in _walk(spec)))

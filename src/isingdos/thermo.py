@@ -6,6 +6,7 @@ exponentials), so nothing overflows even at T = 0.01 for 40 spins, where
 the bare Boltzmann factor would exceed any float.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,13 @@ def partition_point(dos: DoSHistogram, h: float, temperature: float) -> ThermoPo
         temperature: T > 0 in units of J (k_B = 1).
 
     Raises:
-        ValueError: for T <= 0 or an incomplete/malformed histogram.
+        ValueError: for a non-finite h, T <= 0 or non-finite, or an
+            incomplete/malformed histogram.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    if not math.isfinite(h):
+        raise ValueError(f"field h must be finite, got {h}")
+    if not (0 < temperature < math.inf):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     if dos.total() != dos.spec.num_configs:
         raise ValueError(
             f"histogram total {dos.total()} != 2^{dos.spec.num_spins}; "

@@ -36,6 +36,13 @@ def test_dos_stdout_mode(capsys):
     assert parse_dos(captured.out).cells() == DOS_2X2_CELLS
 
 
+def test_dos_auto_workers_walk_tiny_lattice_serially(capsys):
+    assert run_cli("dos", "--rows", "2", "--cols", "2", "--out", "-") == 0
+    captured = capsys.readouterr()
+    assert "16 configurations, 1 worker(s)" in captured.err
+    assert parse_dos(captured.out).cells() == DOS_2X2_CELLS
+
+
 def test_dos_json_flag(tmp_path):
     out = tmp_path / "dos.json"
     assert run_cli("dos", "--rows", "2", "--cols", "3",
@@ -84,6 +91,13 @@ def test_dos_rejects_zero_workers():
 def dos4x4_file(tmp_path, dos4x4):
     path = tmp_path / "dos4x4.csv"
     write_dos(dos4x4, str(path))
+    return path
+
+
+@pytest.fixture
+def dos2x2_file(tmp_path, dos2x2):
+    path = tmp_path / "dos2x2.csv"
+    write_dos(dos2x2, str(path))
     return path
 
 
@@ -152,6 +166,23 @@ def test_thermo_rejects_bad_temperatures(dos4x4_file, capsys):
     assert run_cli("thermo", str(dos4x4_file), "--tmin", "1", "--tmax", "2",
                    "--tstep", "-0.5") == 1
     assert run_cli("thermo", str(dos4x4_file), "--tmin", "2", "--tmax", "1") == 1
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (("--tmax", "1", "--field", "nan"), "field must be finite, got nan"),
+    (("--tmax", "inf"), "tmax must be finite, got inf"),
+])
+def test_thermo_rejects_non_finite_input(dos2x2_file, capsys, argv, detail):
+    assert run_cli("thermo", str(dos2x2_file), "--tmin", "1", *argv) == 1
+    assert capsys.readouterr().err.splitlines()[0] == f"error: validation: {detail}"
+
+
+def test_thermo_rejects_oversized_grid(dos2x2_file, capsys):
+    assert run_cli("thermo", str(dos2x2_file), "--tmin", "1", "--tmax", "1e12",
+                   "--tstep", "1e-3") == 1
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "error: validation: temperature grid of 1e+15 steps exceeds "
+        "1000000 points")
 
 
 # -- oracle-check --------------------------------------------------------------------

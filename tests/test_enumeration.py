@@ -15,7 +15,8 @@ from isingdos import (
     oracle_magnetization,
     verify_dos,
 )
-from isingdos.enumeration import Shard
+from isingdos import enumeration
+from isingdos.enumeration import BLOCK_BITS, Shard
 
 from conftest import DOS_2X2_CELLS
 
@@ -94,6 +95,17 @@ def test_enumerate_rejects_bad_shard():
         enumerate_shard(spec, Shard(0, 1, 0, 17))
 
 
+def _oracle_slice(spec, shard):
+    # The naive engine's g(M, E) of the shard's indices, one by one.
+    expected = DoSHistogram(spec)
+    for index in range(shard.start_index, shard.end_index):
+        spins = decode_spins(spec, index)
+        m = oracle_magnetization(spins)
+        e = oracle_energy(spins, spec)
+        expected.counts[expected.m_index(m), expected.e_index(e)] += 1
+    return expected
+
+
 def test_enumerate_tall_columns_without_tables():
     # Past the oracle's full-walk cap: check a slice of 17x2 (34 spins)
     # configuration by configuration against the naive engine.
@@ -102,21 +114,31 @@ def test_enumerate_tall_columns_without_tables():
                   end_index=123456 + 4096)
     dos = enumerate_shard(spec, shard)
     assert dos.total() == 4096
-    expected = DoSHistogram(spec)
-    for index in range(shard.start_index, shard.end_index):
-        spins = decode_spins(spec, index)
-        m = oracle_magnetization(spins)
-        e = oracle_energy(spins, spec)
-        expected.counts[expected.m_index(m), expected.e_index(e)] += 1
-    assert dos == expected
+    assert dos == _oracle_slice(spec, shard)
 
 
-def test_enumerate_batch_size_is_invisible():
+# 5x8 packs its two 40-bit axis masks into two words and has index bits
+# above 32; 2x2x6 packs three 24-bit masks into two words, with J = -1.
+@pytest.mark.parametrize("dims,coupling", [((5, 8, 1), 1), ((2, 2, 6), -1)])
+@pytest.mark.parametrize("block_bits", [3, BLOCK_BITS])
+def test_enumerate_top_slice_matches_oracle(dims, coupling, block_bits):
+    # 4096 indices near the top of the index space, straddling the block
+    # boundary 5 default blocks below 2^N (and many more of 2^3).
+    spec = LatticeSpec(*dims, coupling=coupling)
+    start = spec.num_configs - 5 * (1 << BLOCK_BITS) - 2000
+    shard = Shard(shard_id=0, num_shards=1, start_index=start,
+                  end_index=start + 4096)
+    dos = enumerate_shard(spec, shard, block_bits=block_bits)
+    assert dos.total() == 4096
+    assert dos == _oracle_slice(spec, shard)
+
+
+def test_enumerate_block_bits_is_invisible():
     spec = LatticeSpec(3, 4)
     shard = make_shards(spec, 1)[0]
     reference = enumerate_shard(spec, shard)
-    for batch in (1, 7, 64, 1 << 20):
-        assert enumerate_shard(spec, shard, batch_size=batch) == reference
+    for block_bits in (0, 1, 3, spec.num_spins, spec.num_spins + 8):
+        assert enumerate_shard(spec, shard, block_bits=block_bits) == reference
 
 
 # Every boundary shape the axis rotations handle: a length-2 axis on each
@@ -129,16 +151,19 @@ def test_enumerate_batch_size_is_invisible():
 def test_enumerate_full_range_matches_oracle(dims, coupling):
     spec = LatticeSpec(*dims, coupling=coupling)
     whole = make_shards(spec, 1)[0]
-    dos = enumerate_shard(spec, whole)
-    assert dos == oracle_full_dos(spec)
-    # A batch size that does not divide 2^N, and a shard that starts 3
-    # indices into a batch: the pieces still add up to the same histogram.
-    batch = 7
-    cut = spec.num_configs // 2 // batch * batch + 3
-    head = enumerate_shard(spec, Shard(0, 2, 0, cut), batch_size=batch)
-    tail = enumerate_shard(spec, Shard(1, 2, cut, spec.num_configs),
-                           batch_size=batch)
-    assert merge([head, tail]) == dos
+    expected = oracle_full_dos(spec)
+    n = spec.num_spins
+    for bits in (0, 1, 3, n, n + 1):
+        dos = enumerate_shard(spec, whole, block_bits=bits)
+        assert dos == expected
+        # A shard that starts 3 indices past a block boundary: the pieces
+        # still add up to the same histogram.
+        size = 1 << min(bits, n)
+        cut = spec.num_configs // 2 // size * size + 3
+        head = enumerate_shard(spec, Shard(0, 2, 0, cut), block_bits=bits)
+        tail = enumerate_shard(spec, Shard(1, 2, cut, spec.num_configs),
+                               block_bits=bits)
+        assert merge([head, tail]) == dos
 
 
 # -- merging ------------------------------------------------------------------
@@ -274,6 +299,17 @@ def test_full_dos_timed_reports_workers(spec4x4, dos4x4):
     assert wall > 0
     assert len(per_worker) == 2
     assert all(t > 0 for t in per_worker)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 4)])
+def test_auto_workers_walk_one_block_serially(monkeypatch, dims):
+    # At most 2^BLOCK_BITS configurations: auto mode starts no pool.
+    spec = LatticeSpec(*dims)
+    expected = full_dos(spec, workers=1)
+    monkeypatch.setattr(enumeration, "Pool", None)
+    hist, _, per_worker = full_dos_timed(spec)
+    assert hist == expected and len(per_worker) == 1
+    assert full_dos(spec) == expected
 
 
 def test_full_dos_rejects_bad_workers(spec4x4):

@@ -118,6 +118,13 @@ def test_rejects_nonpositive_temperature(dos2x2):
         partition_point(dos2x2, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("h,t", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                 (0.0, math.nan), (0.0, math.inf)])
+def test_rejects_non_finite_field_or_temperature(dos2x2, h, t):
+    with pytest.raises(ValueError, match="finite"):
+        partition_point(dos2x2, h, t)
+
+
 def test_rejects_incomplete_histogram():
     partial = DoSHistogram(LatticeSpec(2, 2))
     partial.counts[0, 0] = 3
