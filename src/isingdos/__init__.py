@@ -8,31 +8,24 @@ cross-checks everything on small lattices.
 """
 
 from .bench import BenchRecord, ResultMismatchError, emit_scaling_report, \
-    parse_scaling_report, run_bench
+    run_bench
 from .dosio import DosFileError, format_dos_csv, format_dos_json, parse_dos, \
     read_dos, write_dos
 from .enumeration import DoSHistogram, Shard, available_parallelism, \
     enumerate_shard, full_dos, full_dos_timed, make_shards, merge
-from .lattice import Configuration, KernelTables, LatticeSpec, \
-    aligned_column_bonds, aligned_row_bonds, build_tables, decode_config, \
-    encode_words, popcount, spin_excess, total_energy
-from .oracle import brute_force_log_z, decode_spins, oracle_energy, \
-    oracle_full_dos, oracle_magnetization
+from .lattice import LatticeSpec, build_tables
+from .oracle import oracle_full_dos
 from .thermo import ThermoPoint, partition_point, thermo_sweep
 from .verify import VerificationReport, verify_dos
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRecord", "Configuration", "DoSHistogram", "DosFileError",
-    "KernelTables", "LatticeSpec", "ResultMismatchError", "Shard",
-    "ThermoPoint", "VerificationReport", "aligned_column_bonds",
-    "aligned_row_bonds", "available_parallelism", "brute_force_log_z",
-    "build_tables", "decode_config", "decode_spins", "emit_scaling_report",
-    "encode_words", "enumerate_shard", "format_dos_csv", "format_dos_json",
-    "full_dos", "full_dos_timed", "make_shards", "merge", "oracle_energy",
-    "oracle_full_dos", "oracle_magnetization", "parse_dos",
-    "parse_scaling_report", "partition_point", "popcount", "read_dos",
-    "run_bench", "spin_excess", "thermo_sweep", "total_energy", "verify_dos",
+    "BenchRecord", "DoSHistogram", "DosFileError", "LatticeSpec",
+    "ResultMismatchError", "Shard", "ThermoPoint", "VerificationReport",
+    "available_parallelism", "build_tables", "emit_scaling_report",
+    "enumerate_shard", "format_dos_csv", "format_dos_json", "full_dos",
+    "full_dos_timed", "make_shards", "merge", "oracle_full_dos", "parse_dos",
+    "partition_point", "read_dos", "run_bench", "thermo_sweep", "verify_dos",
     "write_dos",
 ]

@@ -78,7 +78,7 @@ def _build_spec(fields, line):
     if fields["version"] != FORMAT_VERSION:
         raise DosFileError(line, f"unsupported format version {fields['version']}")
     for key in ("rows", "cols", "depth", "N", "B", "version"):
-        if not isinstance(fields[key], int):
+        if not isinstance(fields[key], int) or isinstance(fields[key], bool):
             raise DosFileError(line, f"{key}={fields[key]} must be an integer")
     try:
         spec = LatticeSpec(rows=fields["rows"], cols=fields["cols"],
@@ -95,10 +95,15 @@ def _build_spec(fields, line):
 
 
 def _add_cell(hist, seen, count, m, e, line):
-    if not isinstance(count, int) or count <= 0:
+    # JSON true/false are Python bools, which are ints.
+    if not isinstance(count, int) or isinstance(count, bool) or count <= 0:
         raise DosFileError(line, f"count {count} must be a positive integer")
-    if not isinstance(m, int):
+    if count > hist.spec.num_configs:
+        raise DosFileError(line, f"count {count} exceeds 2^{hist.spec.num_spins}")
+    if not isinstance(m, int) or isinstance(m, bool):
         raise DosFileError(line, f"M {m} must be an integer")
+    if not isinstance(e, (int, float)) or isinstance(e, bool):
+        raise DosFileError(line, f"E {e!r} must be a number")
     try:
         cell = (hist.m_index(m), hist.e_index(e))
     except ValueError as exc:
@@ -144,11 +149,15 @@ def parse_dos_json(text: str) -> DoSHistogram:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DosFileError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise DosFileError(1, "invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise DosFileError(1, "expected a JSON object")
     cells = obj.pop("cells", None)
     if cells is None:
         raise DosFileError(1, "object is missing 'cells'")
+    if not isinstance(cells, list):
+        raise DosFileError(1, f"'cells' must be a list, got {cells!r}")
     spec = _build_spec(obj, 1)
     hist = DoSHistogram(spec)
     seen = set()

@@ -102,8 +102,11 @@ class DoSHistogram:
         """Column of exchange energy; energy must sit on the |J| grid."""
         b = self.spec.num_bonds
         scale = self.energy_scale
-        unit = energy if scale == 1 else energy / scale
-        iu = int(round(unit))
+        try:
+            unit = energy if scale == 1 else energy / scale
+            iu = int(round(unit))
+        except (OverflowError, ValueError):  # inf, nan, or past float range
+            raise ValueError(f"energy {energy} is not a finite number") from None
         if abs(unit - iu) > 1e-9 or (iu + b) % 2 or not -b <= iu <= b:
             raise ValueError(
                 f"energy {energy} not on the even grid within [-{b}, {b}] "
@@ -141,10 +144,6 @@ class DoSHistogram:
                 out.append((int(row[e_idx]), self.m_value(m_idx),
                             self.e_value(int(e_idx))))
         return out
-
-    def magnetization_marginal(self, m: int) -> int:
-        """Total count at fixed spin excess, summed over energies."""
-        return int(self.counts[self.m_index(m)].sum())
 
     def __eq__(self, other):
         if not isinstance(other, DoSHistogram):

@@ -1,10 +1,10 @@
 """Deliberately naive reference engine: explicit spin arrays and neighbor loops.
 
-Nothing here touches the bit-word kernels or their tables.  Configurations
-are decoded site by site, energies are summed bond by bond, and the full
-density of states is accumulated one configuration at a time.  Agreement
-with the fast engine is therefore evidence, not tautology.  Slow on
-purpose; capped at 24 spins.
+Nothing here touches the split-index kernel or its axis masks.
+Configurations are decoded site by site, energies are summed bond by bond,
+and the full density of states is accumulated one configuration at a time.
+Agreement with the fast engine is therefore evidence, not tautology.  Slow
+on purpose; capped at 24 spins.
 """
 
 import functools

@@ -1,6 +1,7 @@
 import pytest
 
-from isingdos import LatticeSpec, build_tables, full_dos
+from isingdos import LatticeSpec, Shard, enumerate_shard, full_dos
+from isingdos.oracle import decode_spins, oracle_energy, oracle_magnetization
 
 # Hand-derived complete DoS of the 2x2 periodic lattice (16 states, B = 8):
 # both aligned states at E = -8, the four single-flip states per sign at
@@ -15,14 +16,26 @@ DOS_2X2_CELLS = [
 ]
 
 
+def kernel_cell(spec, index):
+    """(M, E) of one index from the production kernel: its one-index shard."""
+    cells = enumerate_shard(spec, Shard(0, 1, index, index + 1)).cells()
+    assert [count for count, _, _ in cells] == [1], (index, cells)
+    return cells[0][1:]
+
+
+def oracle_cell(spec, index):
+    """(M, E) of one index from the naive engine."""
+    spins = decode_spins(spec, index)
+    return oracle_magnetization(spins), oracle_energy(spins, spec)
+
+
+#: Every per-configuration invariant runs on both independent engines.
+ENGINES = {"kernel": kernel_cell, "oracle": oracle_cell}
+
+
 @pytest.fixture(scope="session")
 def spec4x4():
     return LatticeSpec(4, 4)
-
-
-@pytest.fixture(scope="session")
-def tables4():
-    return build_tables(4)
 
 
 @pytest.fixture(scope="session")

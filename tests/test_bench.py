@@ -6,10 +6,9 @@ from isingdos import (
     LatticeSpec,
     ResultMismatchError,
     emit_scaling_report,
-    parse_scaling_report,
     run_bench,
 )
-from isingdos.bench import BenchRecord
+from isingdos.bench import BenchRecord, parse_scaling_report
 
 
 def test_single_worker_self_baseline():

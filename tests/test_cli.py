@@ -124,6 +124,31 @@ def test_verify_reports_parse_line_on_truncated_file(dos4x4_file, capsys):
     assert "error: parse: line 7" in capsys.readouterr().err
 
 
+_HEAD_2X2 = '"rows": 2, "cols": 2, "depth": 1, "N": 4, "B": 8, "version": 1'
+MALFORMED = {
+    "csv-infinite-energy": "# rows=2 cols=2 depth=1 J=1 N=4 B=8 version=1\n"
+                           "count,M,E\n1,4,inf\n",
+    "json-infinite-energy": '{%s, "J": 1, "cells": [[1, 4, Infinity]]}' % _HEAD_2X2,
+    "json-cells-not-a-list": '{%s, "J": 1, "cells": 5}' % _HEAD_2X2,
+    "json-string-coupling": '{%s, "J": "1", "cells": []}' % _HEAD_2X2,
+    "json-bool-count": '{%s, "J": 1, "cells": [[true, 4, -8]]}' % _HEAD_2X2,
+    "csv-count-past-int64": "# rows=2 cols=2 depth=1 J=1 N=4 B=8 version=1\n"
+                            "count,M,E\n99999999999999999999999,4,-8\n",
+    "json-nested-too-deeply": '{"cells": %s}' % ("[" * 100_000 + "]" * 100_000),
+}
+
+
+@pytest.mark.parametrize("command", [["verify"],
+                                     ["thermo", "--tmin", "1", "--tmax", "1"]],
+                         ids=["verify", "thermo"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_is_parse_error(tmp_path, capsys, command, name):
+    path = tmp_path / "dos.txt"
+    path.write_text(MALFORMED[name])
+    assert run_cli(command[0], str(path), *command[1:]) == 1
+    assert capsys.readouterr().err.splitlines()[0].startswith("error: parse:")
+
+
 def test_verify_missing_file_is_io_error(tmp_path, capsys):
     assert run_cli("verify", str(tmp_path / "absent.csv")) == 3
     assert "error: io:" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from isingdos import (
@@ -142,3 +144,18 @@ def test_parse_error_invalid_json():
     with pytest.raises(DosFileError, match="cells"):
         parse_dos('{"rows": 2, "cols": 2, "depth": 1, "J": 1, '
                   '"N": 4, "B": 8, "version": 1}')
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("cells", [[True, 4, -8]], "count"),
+    ("cells", [[1, False, -8]], "M"),
+    ("cells", [[1, 4, "-8"]], "E"),
+    ("J", True, "real number"),
+    ("version", True, "version"),
+], ids=["bool-count", "bool-M", "string-E", "bool-J", "bool-version"])
+def test_parse_error_json_bool_or_string_field(dos2x2, key, value, match):
+    # JSON true/false would otherwise pass as the ints 1 and 0.
+    obj = json.loads(format_dos_json(dos2x2))
+    obj[key] = value
+    with pytest.raises(DosFileError, match=match):
+        parse_dos_json(json.dumps(obj))

@@ -4,21 +4,18 @@ import pytest
 from isingdos import (
     DoSHistogram,
     LatticeSpec,
-    decode_spins,
     enumerate_shard,
     full_dos,
     full_dos_timed,
     make_shards,
     merge,
-    oracle_energy,
     oracle_full_dos,
-    oracle_magnetization,
     verify_dos,
 )
 from isingdos import enumeration
 from isingdos.enumeration import BLOCK_BITS, Shard
 
-from conftest import DOS_2X2_CELLS
+from conftest import DOS_2X2_CELLS, oracle_cell
 
 
 # -- sharding -----------------------------------------------------------------
@@ -99,9 +96,7 @@ def _oracle_slice(spec, shard):
     # The naive engine's g(M, E) of the shard's indices, one by one.
     expected = DoSHistogram(spec)
     for index in range(shard.start_index, shard.end_index):
-        spins = decode_spins(spec, index)
-        m = oracle_magnetization(spins)
-        e = oracle_energy(spins, spec)
+        m, e = oracle_cell(spec, index)
         expected.counts[expected.m_index(m), expected.e_index(e)] += 1
     return expected
 

@@ -3,31 +3,35 @@ import random
 import numpy as np
 import pytest
 
-from isingdos import (
-    LatticeSpec,
-    aligned_column_bonds,
-    aligned_row_bonds,
-    build_tables,
-    decode_config,
-    encode_words,
-    popcount,
-    spin_excess,
-    total_energy,
-)
-from isingdos.lattice import circular_shift
+from isingdos import LatticeSpec, Shard, build_tables, enumerate_shard
+from isingdos.oracle import decode_spins, site_order
+
+from conftest import ENGINES
+
+
+def site_bit(spec, row, col, layer):
+    return (layer * spec.cols + col) * spec.rows + row
 
 
 def all_up(spec):
-    return decode_config(spec, spec.num_configs - 1)
+    return spec.num_configs - 1
 
 
 def checkerboard(spec):
-    words = []
-    for layer in range(spec.depth):
-        for c in range(spec.cols):
-            word = sum(1 << r for r in range(spec.rows) if (r + c + layer) % 2 == 0)
-            words.append(word)
-    return decode_config(spec, encode_words(spec, words))
+    return sum(1 << site_bit(spec, r, c, l)
+               for r, c, l in site_order(spec) if (r + c + l) % 2 == 0)
+
+
+def from_columns(spec, words):
+    # Column word w = layer*cols + col holds rows r at bits w*rows + r.
+    return sum(word << (w * spec.rows) for w, word in enumerate(words))
+
+
+def moved(spec, index, step):
+    # The index with the spin of every site s moved to site step(s).
+    return sum(1 << site_bit(spec, *step(r, c, l))
+               for r, c, l in site_order(spec)
+               if index >> site_bit(spec, r, c, l) & 1)
 
 
 # -- LatticeSpec --------------------------------------------------------------
@@ -57,10 +61,17 @@ def test_spec_rejects_zero_coupling():
         LatticeSpec(2, 2, coupling=0)
 
 
+@pytest.mark.parametrize("coupling", [True, False, "1", None, 1j])
+def test_spec_rejects_non_real_coupling(coupling):
+    # A bool J would be written as J=True, which no reader accepts.
+    with pytest.raises(ValueError, match="coupling J must be a real number"):
+        LatticeSpec(2, 2, coupling=coupling)
+
+
 def test_spec_accepts_3d_and_boundary_sizes():
     LatticeSpec(2, 2, 2)
     LatticeSpec(4, 5, 2)  # exactly 40 spins
-    LatticeSpec(20, 2)  # tall columns past the table cap
+    LatticeSpec(20, 2)  # the tallest column a 2D lattice allows
 
 
 # -- kernel tables ------------------------------------------------------------
@@ -98,154 +109,138 @@ def test_build_tables_rejects_out_of_range(rows):
         build_tables(rows)
 
 
-def test_popcount_examples():
-    assert popcount(0) == 0
-    assert popcount(0b11111111) == 8
-    assert popcount(0b1011) == 3
-    assert popcount((1 << 40) - 1) == 40
-
-
-def test_popcount_matches_table():
-    t = build_tables(8)
-    for word in range(256):
-        assert popcount(word) == t.popcount_table[word]
-
-
-# -- encode / decode ----------------------------------------------------------
+# -- index layout -------------------------------------------------------------
 
 @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 2, 2), (4, 4, 1)])
 def test_decode_encode_round_trip_exhaustive(dims):
+    # decode_spins follows the layout the kernel's rotations assume.
     spec = LatticeSpec(*dims)
-    mask = spec.word_mask
+    sites = site_order(spec)
     for index in range(spec.num_configs):
-        cfg = decode_config(spec, index)
-        assert len(cfg.words) == spec.num_words
-        assert all(w <= mask for w in cfg.words)
-        assert encode_words(spec, cfg.words) == index
+        spins = decode_spins(spec, index)
+        assert len(spins) == spec.num_spins and set(spins) <= {-1, 1}
+        assert sum(1 << site_bit(spec, *site)
+                   for site, s in zip(sites, spins) if s == 1) == index
 
 
 def test_decode_rejects_out_of_range():
     spec = LatticeSpec(2, 2)
-    with pytest.raises(ValueError):
-        decode_config(spec, 16)
-    with pytest.raises(ValueError):
-        decode_config(spec, -1)
-
-
-def test_encode_rejects_stray_bits():
-    spec = LatticeSpec(2, 2)
-    with pytest.raises(ValueError, match="stray"):
-        encode_words(spec, (0b100, 0))
+    for index in (16, -1):
+        with pytest.raises(ValueError, match="outside"):
+            decode_spins(spec, index)
+        with pytest.raises(ValueError, match="invalid"):
+            enumerate_shard(spec, Shard(0, 1, index, index + 1))
 
 
 # -- spin excess ---------------------------------------------------------------
 
 def test_spin_excess_examples(spec4x4):
-    assert spin_excess(all_up(spec4x4), spec4x4) == 16
-    assert spin_excess(decode_config(spec4x4, 0), spec4x4) == -16
-    assert spin_excess(decode_config(spec4x4, 1 << 7), spec4x4) == -14
+    for name, cell in ENGINES.items():
+        assert cell(spec4x4, all_up(spec4x4))[0] == 16, name
+        assert cell(spec4x4, 0)[0] == -16, name
+        assert cell(spec4x4, 1 << 7)[0] == -14, name
 
 
 def test_spin_excess_parity_and_bounds(spec4x4):
     rng = random.Random(7)
     for _ in range(200):
-        cfg = decode_config(spec4x4, rng.randrange(spec4x4.num_configs))
-        m = spin_excess(cfg, spec4x4)
-        assert abs(m) <= 16 and (m + 16) % 2 == 0
+        index = rng.randrange(spec4x4.num_configs)
+        for name, cell in ENGINES.items():
+            m = cell(spec4x4, index)[0]
+            assert abs(m) <= 16 and (m + 16) % 2 == 0, (name, index)
 
 
-# -- bond kernels ---------------------------------------------------------------
+# -- bond counting ----------------------------------------------------------------
+# E = -J * (2*aligned - B), with the aligned bonds of each configuration
+# below counted by hand, axis by axis.
 
-def test_aligned_row_bonds_examples(tables4):
-    assert aligned_row_bonds(0b1111, 0b1111, tables4) == 4
-    assert aligned_row_bonds(0b1010, 0b0101, tables4) == 0
-    assert aligned_row_bonds(0b1100, 0b1010, tables4) == 2
+def test_aligned_row_bonds_examples():
+    # 4x2: the col axis has length 2, so each row pair is a double bond, and
+    # aligned = column rings + 2 * aligned row pairs; B = 16.
+    spec = LatticeSpec(4, 2)
+    for words, aligned in [((0b1111, 0b1111), 4 + 4 + 2 * 4),
+                           ((0b1010, 0b0101), 0 + 0 + 2 * 0),
+                           ((0b1100, 0b1010), 2 + 0 + 2 * 2)]:
+        for name, cell in ENGINES.items():
+            assert cell(spec, from_columns(spec, words))[1] == 16 - 2 * aligned, \
+                (name, words)
 
 
-def test_aligned_column_bonds_examples(tables4):
-    assert aligned_column_bonds(0b1111, tables4) == 4
-    assert aligned_column_bonds(0b1010, tables4) == 0
-    assert aligned_column_bonds(0b0011, tables4) == 2
+def test_aligned_column_bonds_examples():
+    # 4x2 with both columns equal: every row pair is aligned (2 * 4), so
+    # E = 16 - 2 * (2 * ring + 8) = -4 * ring for the column's aligned ring.
+    spec = LatticeSpec(4, 2)
+    for word, ring in [(0b1111, 4), (0b1010, 0), (0b0011, 2)]:
+        for name, cell in ENGINES.items():
+            assert cell(spec, from_columns(spec, (word, word)))[1] == -4 * ring, \
+                (name, word)
 
 
 def test_column_bonds_length_two_ring():
-    # rows = 2: the periodic ring of two carries a double bond.
-    t = build_tables(2)
-    assert aligned_column_bonds(0b11, t) == 2
-    assert aligned_column_bonds(0b01, t) == 0
+    # rows = 2: the periodic ring of two carries a double bond.  On 2x3 with
+    # equal columns every row bond is aligned (6 of B = 12), so
+    # E = 12 - 2 * (3 * ring + 6) = -6 * ring.
+    spec = LatticeSpec(2, 3)
+    for word, ring in [(0b11, 2), (0b01, 0)]:
+        for name, cell in ENGINES.items():
+            assert cell(spec, from_columns(spec, (word,) * 3))[1] == -6 * ring, \
+                (name, word)
 
 
 # -- total energy ----------------------------------------------------------------
 
-def test_total_energy_reference_anchors(spec4x4, tables4):
-    assert total_energy(all_up(spec4x4), spec4x4, tables4) == -32
-    for bit in range(16):
-        flipped = decode_config(spec4x4, (spec4x4.num_configs - 1) ^ (1 << bit))
-        assert total_energy(flipped, spec4x4, tables4) == -24
-    assert total_energy(checkerboard(spec4x4), spec4x4, tables4) == 32
+def test_total_energy_reference_anchors(spec4x4):
+    for name, cell in ENGINES.items():
+        assert cell(spec4x4, all_up(spec4x4))[1] == -32, name
+        for bit in range(16):
+            assert cell(spec4x4, all_up(spec4x4) ^ (1 << bit))[1] == -24, (name, bit)
+        assert cell(spec4x4, checkerboard(spec4x4))[1] == 32, name
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 1), (3, 4, 1), (2, 2, 3)])
 def test_ground_state_energy_is_minus_bonds(dims):
     spec = LatticeSpec(*dims)
-    tables = build_tables(spec.rows)
-    assert total_energy(all_up(spec), spec, tables) == -spec.num_bonds
-    assert total_energy(decode_config(spec, 0), spec, tables) == -spec.num_bonds
+    for name, cell in ENGINES.items():
+        assert cell(spec, all_up(spec))[1] == -spec.num_bonds, name
+        assert cell(spec, 0)[1] == -spec.num_bonds, name
 
 
-def test_antiferromagnetic_coupling_flips_sign(spec4x4, tables4):
+def test_antiferromagnetic_coupling_flips_sign():
     anti = LatticeSpec(4, 4, coupling=-1)
-    cfg = checkerboard(anti)
-    assert total_energy(cfg, anti, tables4) == -32
-    assert total_energy(all_up(anti), anti, tables4) == 32
+    for name, cell in ENGINES.items():
+        assert cell(anti, checkerboard(anti))[1] == -32, name
+        assert cell(anti, all_up(anti))[1] == 32, name
 
 
-def test_global_flip_symmetry(spec4x4, tables4):
+def test_global_flip_symmetry(spec4x4):
     rng = random.Random(11)
-    mask = spec4x4.word_mask
     for _ in range(200):
-        cfg = decode_config(spec4x4, rng.randrange(spec4x4.num_configs))
-        flipped = decode_config(
-            spec4x4, encode_words(spec4x4, [w ^ mask for w in cfg.words]))
-        assert spin_excess(flipped, spec4x4) == -spin_excess(cfg, spec4x4)
-        assert (total_energy(flipped, spec4x4, tables4)
-                == total_energy(cfg, spec4x4, tables4))
+        index = rng.randrange(spec4x4.num_configs)
+        for name, cell in ENGINES.items():
+            m, e = cell(spec4x4, index)
+            assert cell(spec4x4, all_up(spec4x4) ^ index) == (-m, e), (name, index)
 
 
 @pytest.mark.parametrize("dims", [(3, 4, 1), (2, 3, 2)])
 def test_periodic_shift_invariance(dims):
     spec = LatticeSpec(*dims)
-    tables = build_tables(spec.rows)
+    rows, cols, depth = spec.rows, spec.cols, spec.depth
+    steps = [lambda r, c, l: ((r + 1) % rows, c, l),   # roll every column by a row
+             lambda r, c, l: (r, (c - 1) % cols, l),   # rotate the columns
+             lambda r, c, l: (r, c, (l + 1) % depth)]  # roll the layers
     rng = random.Random(13)
     for _ in range(100):
-        cfg = decode_config(spec, rng.randrange(spec.num_configs))
-        m, e = spin_excess(cfg, spec), total_energy(cfg, spec, tables)
-
-        # roll every column word by one row
-        rolled = [circular_shift(w, spec.rows) for w in cfg.words]
-        cfg_r = decode_config(spec, encode_words(spec, rolled))
-        assert (spin_excess(cfg_r, spec), total_energy(cfg_r, spec, tables)) == (m, e)
-
-        # rotate the columns within each layer
-        rotated = []
-        for layer in range(spec.depth):
-            row = list(cfg.words[layer * spec.cols:(layer + 1) * spec.cols])
-            rotated.extend(row[1:] + row[:1])
-        cfg_c = decode_config(spec, encode_words(spec, rotated))
-        assert (spin_excess(cfg_c, spec), total_energy(cfg_c, spec, tables)) == (m, e)
+        index = rng.randrange(spec.num_configs)
+        for name, cell in ENGINES.items():
+            m_e = cell(spec, index)
+            for step in steps:
+                assert cell(spec, moved(spec, index, step)) == m_e, (name, index)
 
 
-def test_energy_parity_and_bounds(spec4x4, tables4):
+def test_energy_parity_and_bounds(spec4x4):
     rng = random.Random(17)
     for _ in range(300):
-        cfg = decode_config(spec4x4, rng.randrange(spec4x4.num_configs))
-        e = total_energy(cfg, spec4x4, tables4)
-        assert e % 2 == 0 and -32 <= e <= 32
-
-
-def test_total_energy_direct_fallback_matches_tables():
-    spec = LatticeSpec(3, 4)
-    tables = build_tables(3)
-    for index in range(spec.num_configs):
-        cfg = decode_config(spec, index)
-        assert total_energy(cfg, spec, None) == total_energy(cfg, spec, tables)
+        index = rng.randrange(spec4x4.num_configs)
+        for name, cell in ENGINES.items():
+            e = cell(spec4x4, index)[1]
+            assert e % 2 == 0 and -32 <= e <= 32, (name, index)

@@ -5,22 +5,20 @@ import pytest
 
 from isingdos import (
     LatticeSpec,
-    brute_force_log_z,
-    build_tables,
-    decode_config,
-    decode_spins,
     full_dos,
-    oracle_energy,
     oracle_full_dos,
-    oracle_magnetization,
     partition_point,
-    spin_excess,
-    total_energy,
     verify_dos,
 )
-from isingdos.oracle import ORACLE_MAX_SPINS, bond_pairs
+from isingdos.oracle import (
+    ORACLE_MAX_SPINS,
+    bond_pairs,
+    brute_force_log_z,
+    oracle_energy,
+    oracle_magnetization,
+)
 
-from conftest import DOS_2X2_CELLS
+from conftest import DOS_2X2_CELLS, kernel_cell, oracle_cell
 
 
 def test_oracle_energy_examples():
@@ -48,36 +46,25 @@ def test_bond_pairs_count_each_bond_once():
                                   (2, 2, 2)])
 def test_per_index_agreement_with_bit_kernels_exhaustive(dims):
     spec = LatticeSpec(*dims)
-    tables = build_tables(spec.rows)
     for index in range(spec.num_configs):
-        spins = decode_spins(spec, index)
-        cfg = decode_config(spec, index)
-        assert oracle_magnetization(spins) == spin_excess(cfg, spec)
-        assert oracle_energy(spins, spec) == total_energy(cfg, spec, tables)
+        assert oracle_cell(spec, index) == kernel_cell(spec, index), index
 
 
 def test_per_index_agreement_4x4_sampled():
     spec = LatticeSpec(4, 4)
-    tables = build_tables(4)
     rng = random.Random(23)
     for _ in range(500):
         index = rng.randrange(spec.num_configs)
-        spins = decode_spins(spec, index)
-        cfg = decode_config(spec, index)
-        assert oracle_magnetization(spins) == spin_excess(cfg, spec)
-        assert oracle_energy(spins, spec) == total_energy(cfg, spec, tables)
+        assert oracle_cell(spec, index) == kernel_cell(spec, index), index
 
 
 def test_tall_column_direct_path_agrees_with_oracle():
-    # rows past the table cap force the computed-shift kernels.
+    # 34 spins, past the oracle's full-walk cap: sampled index by index.
     spec = LatticeSpec(17, 2)
     rng = random.Random(29)
     for _ in range(100):
         index = rng.randrange(spec.num_configs)
-        cfg = decode_config(spec, index)
-        spins = decode_spins(spec, index)
-        assert total_energy(cfg, spec, None) == oracle_energy(spins, spec)
-        assert spin_excess(cfg, spec) == oracle_magnetization(spins)
+        assert oracle_cell(spec, index) == kernel_cell(spec, index), index
 
 
 def test_oracle_full_dos_2x2_is_hand_enumeration():
