@@ -22,9 +22,8 @@ spec = LatticeSpec(4, 4)
 print(f"lattice {spec.rows}x{spec.cols}: 2^{spec.num_spins} configurations")
 
 print("\nshard layout for 3 workers:")
-for s in make_shards(spec, 3):
-    print(f"  shard {s.shard_id}: [{s.start_index:6d}, {s.end_index:6d})  "
-          f"size {s.size}")
+for i, s in enumerate(make_shards(spec, 3)):
+    print(f"  shard {i}: [{s.start:6d}, {s.stop:6d})  size {len(s)}")
 
 baseline = full_dos(spec, workers=1)
 for p in (2, 3, 8):

@@ -10,8 +10,8 @@ cross-checks everything on small lattices.
 from .bench import BenchRecord, ResultMismatchError, emit_scaling_report, \
     run_bench
 from .dosio import DosFileError, format_dos_csv, format_dos_json, parse_dos, \
-    read_dos, write_dos
-from .enumeration import DoSHistogram, Shard, available_parallelism, \
+    read_dos
+from .enumeration import DoSHistogram, available_parallelism, \
     enumerate_shard, full_dos, full_dos_timed, make_shards, merge
 from .lattice import LatticeSpec, build_tables
 from .oracle import oracle_full_dos
@@ -22,10 +22,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchRecord", "DoSHistogram", "DosFileError", "LatticeSpec",
-    "ResultMismatchError", "Shard", "ThermoPoint", "VerificationReport",
+    "ResultMismatchError", "ThermoPoint", "VerificationReport",
     "available_parallelism", "build_tables", "emit_scaling_report",
     "enumerate_shard", "format_dos_csv", "format_dos_json", "full_dos",
     "full_dos_timed", "make_shards", "merge", "oracle_full_dos", "parse_dos",
     "partition_point", "read_dos", "run_bench", "thermo_sweep", "verify_dos",
-    "write_dos",
 ]

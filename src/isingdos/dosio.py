@@ -180,9 +180,3 @@ def read_dos(path: str) -> DoSHistogram:
     with open(path, "r", encoding="utf-8") as f:
         return parse_dos(f.read())
 
-
-def write_dos(dos: DoSHistogram, path: str, as_json: bool = False) -> None:
-    """Write a DoS file to disk."""
-    text = format_dos_json(dos) if as_json else format_dos_csv(dos)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)

@@ -1,17 +1,16 @@
 """Exhaustive sharded walk of the configuration space and the g(M, E) histogram.
 
-The 2^N indices split into contiguous, near-equal shards, each walked in
-aligned blocks of 2^k indices H*2^k + L.  The anti-aligned bond masks of
+The 2^N indices split into contiguous, near-equal `range` shards, each walked
+in aligned blocks of 2^k indices H*2^k + L.  The anti-aligned bond masks of
 the 2^k low parts L (per periodic axis, the index XOR its masked rotation,
 packed into uint64 words) are tabulated once per shard; the masks are linear
 over GF(2), so a block XORs its base's words into the table, takes one vector
 popcount per word and bins (spin excess, exchange energy) with one bincount.
-Counts are exact integers and shard results merge by elementwise addition,
-so the total is bit-identical for any shard count or merge order."""
+Counts are exact integers and `merge` adds the shard tables elementwise, so
+the total is bit-identical for any shard count or merge order."""
 
 import os
 import time
-from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -26,21 +25,7 @@ BLOCK_BITS = 12
 BASE_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class Shard:
-    """Half-open range [start_index, end_index) of configuration indices."""
-
-    shard_id: int
-    num_shards: int
-    start_index: int
-    end_index: int
-
-    @property
-    def size(self) -> int:
-        return self.end_index - self.start_index
-
-
-def make_shards(spec: LatticeSpec, num_shards: int) -> list[Shard]:
+def make_shards(spec: LatticeSpec, num_shards: int) -> list[range]:
     """Partition [0, 2^N) into num_shards contiguous ranges of near-equal size.
 
     Sizes differ by at most one; the first (2^N mod num_shards) shards get
@@ -52,14 +37,8 @@ def make_shards(spec: LatticeSpec, num_shards: int) -> list[Shard]:
             f"num_shards must be in [1, 2^{spec.num_spins}], got {num_shards}"
         )
     base, extra = divmod(total, num_shards)
-    shards = []
-    start = 0
-    for i in range(num_shards):
-        size = base + (1 if i < extra else 0)
-        shards.append(Shard(shard_id=i, num_shards=num_shards,
-                            start_index=start, end_index=start + size))
-        start += size
-    return shards
+    cuts = [i * base + min(i, extra) for i in range(num_shards + 1)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 class DoSHistogram:
@@ -152,33 +131,26 @@ class DoSHistogram:
 
     __hash__ = None
 
-    def __add__(self, other):
-        if not isinstance(other, DoSHistogram):
-            return NotImplemented
-        if self.spec != other.spec:
-            raise ValueError("cannot add histograms of different lattices")
-        return DoSHistogram(self.spec, self.counts + other.counts)
-
 
 # -- the vectorized walk ----------------------------------------------------
 
-def enumerate_shard(spec: LatticeSpec, shard: Shard,
+def enumerate_shard(spec: LatticeSpec, shard: range,
                     block_bits: int = BLOCK_BITS) -> DoSHistogram:
     """Classify every configuration index in the shard's range into g(M, E).
 
     Args:
         spec:   lattice geometry and coupling.
-        shard:  half-open index range to walk.
+        shard:  range of configuration indices to walk, step 1.
         block_bits: log2 of the aligned block of indices that shares one
                 table of low-index bond words (clamped to N).
 
     Returns:
         Partial histogram counting exactly the shard's configurations.
     """
-    start, end = shard.start_index, shard.end_index
-    if not 0 <= start <= end <= spec.num_configs:
-        raise ValueError(f"shard range [{start}, {end}) "
-                         f"invalid for 2^{spec.num_spins} configurations")
+    start, end = shard.start, shard.stop
+    if shard.step != 1 or not 0 <= start <= end <= spec.num_configs:
+        raise ValueError(f"shard {shard} invalid for 2^{spec.num_spins} "
+                         f"configurations")
     n, b = spec.num_spins, spec.num_bonds
     k = min(block_bits, n)
     size = 1 << k
@@ -223,10 +195,10 @@ def merge(parts, spec: LatticeSpec | None = None) -> DoSHistogram:
         return DoSHistogram(spec)
     if spec is not None and parts[0].spec != spec:
         raise ValueError("declared spec does not match the parts")
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    return out
+    spec = parts[0].spec
+    if any(p.spec != spec for p in parts):
+        raise ValueError("cannot merge histograms of different lattices")
+    return DoSHistogram(spec, sum(p.counts for p in parts))
 
 
 # -- parallel driver ---------------------------------------------------------
@@ -241,14 +213,12 @@ def available_parallelism() -> int:
 
 def _shard_worker(args):
     # Runs in a worker process; each worker reports its own interval.
-    spec, shard, block_bits = args
     t0 = time.perf_counter()
-    hist = enumerate_shard(spec, shard, block_bits=block_bits)
-    return hist.counts, time.perf_counter() - t0
+    hist = enumerate_shard(*args)
+    return hist, time.perf_counter() - t0
 
 
-def full_dos_timed(spec: LatticeSpec, workers: int | None = None,
-                   block_bits: int = BLOCK_BITS):
+def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     """Complete density of states plus timing.
 
     Returns:
@@ -261,8 +231,7 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None,
                    if spec.num_configs > 1 << BLOCK_BITS else 1)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    shards = make_shards(spec, workers)
-    jobs = [(spec, s, block_bits) for s in shards]
+    jobs = [(spec, shard) for shard in make_shards(spec, workers)]
     t0 = time.perf_counter()
     if workers == 1:
         results = [_shard_worker(jobs[0])]
@@ -270,10 +239,7 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None,
         with Pool(processes=workers) as pool:
             results = pool.map(_shard_worker, jobs)
     wall = time.perf_counter() - t0
-    total = results[0][0].copy()
-    for counts, _ in results[1:]:
-        total += counts
-    return DoSHistogram(spec, total), wall, [secs for _, secs in results]
+    return merge(hist for hist, _ in results), wall, [secs for _, secs in results]
 
 
 def full_dos(spec: LatticeSpec, workers: int | None = None) -> DoSHistogram:

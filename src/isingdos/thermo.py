@@ -7,7 +7,7 @@ the bare Boltzmann factor would exceed any float.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -53,8 +53,9 @@ def partition_point(dos: DoSHistogram, h: float, temperature: float) -> ThermoPo
         temperature: T > 0 in units of J (k_B = 1).
 
     Raises:
-        ValueError: for a non-finite h, T <= 0 or non-finite, or an
-            incomplete/malformed histogram.
+        ValueError: for a non-finite h, T <= 0 or non-finite, an
+            incomplete/malformed histogram, or an observable outside the
+            float range (say |h*N| or |J*B| near 1e308, or T near 1e-310).
     """
     if not math.isfinite(h):
         raise ValueError(f"field h must be finite, got {h}")
@@ -65,31 +66,38 @@ def partition_point(dos: DoSHistogram, h: float, temperature: float) -> ThermoPo
             f"histogram total {dos.total()} != 2^{dos.spec.num_spins}; "
             f"not a complete density of states"
         )
-    g, m, e = _cell_arrays(dos)
-    energy = e - h * m
-    x = -energy / temperature
-    shift = x.max()
-    w = g * np.exp(x - shift)
-    s = w.sum()
-    log_z = shift + np.log(s)
-    p = w / s
+    # Overflow shows up as inf or NaN in the result, checked below.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g, m, e = _cell_arrays(dos)
+        energy = e - h * m
+        x = -energy / temperature
+        shift = x.max()
+        w = g * np.exp(x - shift)
+        s = w.sum()
+        log_z = float(shift + np.log(s))
+        p = w / s
+        u = float(p @ energy)
+        mean_m = float(p @ m)
+        # Central-moment form keeps the variances nonnegative by construction.
+        var_e = p @ (energy - u) ** 2
+        var_m = p @ (m - mean_m) ** 2
+        specific_heat = float(var_e / np.float64(temperature) ** 2)
+        susceptibility = float(var_m / temperature)
 
-    u = float(p @ energy)
-    mean_m = float(p @ m)
-    # Central-moment form keeps the variances nonnegative by construction.
-    var_e = float(p @ (energy - u) ** 2)
-    var_m = float(p @ (m - mean_m) ** 2)
-
-    return ThermoPoint(
+    point = ThermoPoint(
         field=h,
         temperature=temperature,
-        log_z=float(log_z),
-        free_energy=float(-temperature * log_z),
+        log_z=log_z,
+        free_energy=-temperature * log_z,
         internal_energy=u,
-        specific_heat=var_e / temperature**2,
+        specific_heat=specific_heat,
         mean_magnetization=mean_m,
-        susceptibility=var_m / temperature,
+        susceptibility=susceptibility,
     )
+    if not all(map(math.isfinite, astuple(point))):
+        raise ValueError(f"observables at h={h}, T={temperature} fall outside "
+                         f"the float range")
+    return point
 
 
 def thermo_sweep(dos: DoSHistogram, h: float, temps) -> list[ThermoPoint]:

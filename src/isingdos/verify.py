@@ -51,8 +51,10 @@ def verify_dos(dos: DoSHistogram) -> VerificationReport:
     total-count:        sum of counts equals 2^N.
     binomial-marginals: each per-M marginal equals C(N, (N+M)/2).
     flip-symmetry:      g(M, E) = g(-M, E) for every cell.
-    energy-grid:        nonzero cells only at E with the parity of B,
-                        within [-B, B] (even E for every 2D lattice).
+    energy-grid:        nonzero cells only at energies with an even number
+                        of anti-aligned bonds.  Around every periodic ring
+                        the spins change sign an even number of times, so
+                        no configuration of any lattice has an odd count.
 
     Failures are data, not errors; the report lists violating cells.
     """
@@ -82,14 +84,10 @@ def verify_dos(dos: DoSHistogram) -> VerificationReport:
         "flip-symmetry", not bad_sym,
         "symmetric under M -> -M" if not bad_sym else _clip(bad_sym)))
 
-    # The dense grid can only hold on-grid energies, so this re-checks the
-    # structural invariant cell by cell (it guards file-loaded data too).
-    off = []
-    for _, m, e in dos.cells():
-        try:
-            dos.e_index(e)
-        except ValueError:
-            off.append(f"(M={m}, E={e})")
+    # Column e_idx holds e_idx anti-aligned bonds for J > 0, B - e_idx for J < 0.
+    anti = np.arange(b + 1) if spec.coupling > 0 else np.arange(b, -1, -1)
+    odd = np.argwhere((dos.counts != 0) & (anti % 2 == 1))
+    off = [f"(M={dos.m_value(mi)}, E={dos.e_value(ei)})" for mi, ei in odd]
     parity = "even" if b % 2 == 0 else "odd"
     checks.append(CheckResult(
         "energy-grid", not off,

@@ -1,6 +1,6 @@
 import pytest
 
-from isingdos import LatticeSpec, Shard, enumerate_shard, full_dos
+from isingdos import LatticeSpec, enumerate_shard, full_dos
 from isingdos.oracle import decode_spins, oracle_energy, oracle_magnetization
 
 # Hand-derived complete DoS of the 2x2 periodic lattice (16 states, B = 8):
@@ -18,7 +18,7 @@ DOS_2X2_CELLS = [
 
 def kernel_cell(spec, index):
     """(M, E) of one index from the production kernel: its one-index shard."""
-    cells = enumerate_shard(spec, Shard(0, 1, index, index + 1)).cells()
+    cells = enumerate_shard(spec, range(index, index + 1)).cells()
     assert [count for count, _, _ in cells] == [1], (index, cells)
     return cells[0][1:]
 

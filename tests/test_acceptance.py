@@ -13,13 +13,13 @@ import pytest
 from isingdos import (
     LatticeSpec,
     available_parallelism,
+    format_dos_csv,
     full_dos,
     oracle_full_dos,
     partition_point,
     read_dos,
     run_bench,
     thermo_sweep,
-    write_dos,
 )
 from isingdos.cli import main as cli_main
 from isingdos.oracle import brute_force_log_z
@@ -164,7 +164,7 @@ def test_criterion_8_robustness(tmp_path, dos4x4, capsys):
 
         # T <= 0 -> validation failure (1)
         good = tmp_path / "dos.csv"
-        write_dos(dos4x4, str(good))
+        good.write_text(format_dos_csv(dos4x4), encoding="utf-8")
         assert cli_main(["thermo", str(good), "--tmin", "0", "--tmax", "1"]) == 1
         assert "error: validation:" in capsys.readouterr().err
 

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from isingdos import LatticeSpec, full_dos, parse_dos, read_dos, write_dos
+from isingdos import DoSHistogram, LatticeSpec, format_dos_csv, full_dos, parse_dos, \
+    read_dos
 from isingdos.cli import main
 
 from conftest import DOS_2X2_CELLS
@@ -90,14 +91,14 @@ def test_dos_rejects_zero_workers():
 @pytest.fixture()
 def dos4x4_file(tmp_path, dos4x4):
     path = tmp_path / "dos4x4.csv"
-    write_dos(dos4x4, str(path))
+    path.write_text(format_dos_csv(dos4x4), encoding="utf-8")
     return path
 
 
 @pytest.fixture
 def dos2x2_file(tmp_path, dos2x2):
     path = tmp_path / "dos2x2.csv"
-    write_dos(dos2x2, str(path))
+    path.write_text(format_dos_csv(dos2x2), encoding="utf-8")
     return path
 
 
@@ -114,6 +115,19 @@ def test_verify_flags_perturbed_count(dos4x4_file, capsys):
     captured = capsys.readouterr()
     assert "FAIL total-count" in captured.out
     assert captured.err.startswith("error: check-failed: total-count")
+
+
+def test_verify_flags_odd_anti_aligned_count(tmp_path, dos4x4, capsys):
+    # One M = 0 configuration moved to a column of odd anti-aligned bond count.
+    counts = dos4x4.counts.copy()
+    counts[8, 8] -= 1
+    counts[8, 9] += 1
+    path = tmp_path / "dos.csv"
+    path.write_text(format_dos_csv(DoSHistogram(dos4x4.spec, counts)), encoding="utf-8")
+    assert run_cli("verify", str(path)) == 1
+    captured = capsys.readouterr()
+    assert "FAIL energy-grid" in captured.out and "FAIL total-count" not in captured.out
+    assert captured.err == "error: check-failed: energy-grid\n"
 
 
 def test_verify_reports_parse_line_on_truncated_file(dos4x4_file, capsys):
@@ -167,7 +181,7 @@ def test_thermo_high_t_single_point(dos4x4_file, capsys):
 
 def test_thermo_2x2_closed_form(tmp_path, dos2x2, capsys):
     path = tmp_path / "dos2x2.csv"
-    write_dos(dos2x2, str(path))
+    path.write_text(format_dos_csv(dos2x2), encoding="utf-8")
     assert run_cli("thermo", str(path), "--tmin", "1", "--tmax", "1") == 0
     log_z = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
     expected = math.log(2 * math.exp(8) + 12 + 2 * math.exp(-8))
@@ -200,6 +214,35 @@ def test_thermo_rejects_bad_temperatures(dos4x4_file, capsys):
 def test_thermo_rejects_non_finite_input(dos2x2_file, capsys, argv, detail):
     assert run_cli("thermo", str(dos2x2_file), "--tmin", "1", *argv) == 1
     assert capsys.readouterr().err.splitlines()[0] == f"error: validation: {detail}"
+
+
+# Observables past the float range: |h*M| or |E| near 1e308, or 1/T overflowing.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coupling,argv,point", [
+    ("1", ("--field", "1e308", "--tmin", "1", "--tmax", "1"), "h=1e+308, T=1.0"),
+    ("1e308", ("--tmin", "1", "--tmax", "1"), "h=0.0, T=1.0"),
+    ("1", ("--tmin", "1e-310", "--tmax", "1e-310"), "h=0.0, T=1e-310"),
+], ids=["huge-field", "huge-coupling", "subnormal-temperature"])
+def test_thermo_rejects_observables_past_float_range(tmp_path, capsys, coupling,
+                                                     argv, point):
+    path = tmp_path / "dos.csv"
+    assert run_cli("dos", "--rows", "2", "--cols", "2", "--coupling", coupling,
+                   "--out", str(path)) == 0
+    capsys.readouterr()
+    assert run_cli("thermo", str(path), *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: validation: observables at {point} fall "
+                            f"outside the float range\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_thermo_huge_temperature_stays_finite(dos2x2_file, capsys):
+    assert run_cli("thermo", str(dos2x2_file), "--tmin", "1e300",
+                   "--tmax", "1e300") == 0
+    values = [float(v) for v in capsys.readouterr().out.splitlines()[1].split(",")]
+    assert all(map(math.isfinite, values))
+    assert values[2] == pytest.approx(4 * math.log(2))  # log Z -> N log 2
 
 
 def test_thermo_rejects_oversized_grid(dos2x2_file, capsys):

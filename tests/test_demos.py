@@ -47,3 +47,19 @@ def test_benchmark_names_are_exported():
     missing = [name for name in BENCHMARK_NAMES if not hasattr(isingdos, name)]
     assert missing == []
     assert set(BENCHMARK_NAMES) - {"__version__"} <= set(isingdos.__all__)
+
+
+def test_benchmark_call_forms_still_work():
+    # The calls benchmarks/run.py makes, in its own forms: if one of them
+    # changes shape, the benchmark breaks even though its names resolve.
+    spec = isingdos.LatticeSpec(3, 4)
+    hist, wall, per_worker = isingdos.full_dos_timed(spec, workers=2)
+    assert wall > 0 and len(per_worker) == 2 and min(per_worker) > 0
+    assert isingdos.verify_dos(hist).passed
+    whole = isingdos.make_shards(spec, 1)[0]
+    assert isingdos.enumerate_shard(spec, whole) == hist
+    c = hist.counts
+    halves = [isingdos.DoSHistogram(spec, c // 2),
+              isingdos.DoSHistogram(spec, c - c // 2)]
+    assert isingdos.merge(halves) == hist
+    assert spec.num_words + len(spec.word_neighbor_pairs()) > 0

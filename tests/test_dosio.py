@@ -10,7 +10,6 @@ from isingdos import (
     full_dos,
     parse_dos,
     read_dos,
-    write_dos,
 )
 from isingdos.dosio import parse_dos_csv, parse_dos_json
 
@@ -51,10 +50,10 @@ def test_json_round_trip_and_sniffing(dos4x4):
 
 def test_file_round_trip(tmp_path, dos4x4):
     path = tmp_path / "dos.csv"
-    write_dos(dos4x4, str(path))
+    path.write_text(format_dos_csv(dos4x4), encoding="utf-8")
     assert read_dos(str(path)) == dos4x4
     jpath = tmp_path / "dos.json"
-    write_dos(dos4x4, str(jpath), as_json=True)
+    jpath.write_text(format_dos_json(dos4x4), encoding="utf-8")
     assert read_dos(str(jpath)) == dos4x4
 
 

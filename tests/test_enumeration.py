@@ -13,7 +13,7 @@ from isingdos import (
     verify_dos,
 )
 from isingdos import enumeration
-from isingdos.enumeration import BLOCK_BITS, Shard
+from isingdos.enumeration import BLOCK_BITS
 
 from conftest import DOS_2X2_CELLS, oracle_cell
 
@@ -23,31 +23,31 @@ from conftest import DOS_2X2_CELLS, oracle_cell
 def test_make_shards_single():
     spec = LatticeSpec(4, 4)
     (shard,) = make_shards(spec, 1)
-    assert (shard.start_index, shard.end_index) == (0, 65536)
+    assert shard == range(0, 65536)
 
 
 def test_make_shards_equal_quarters():
     spec = LatticeSpec(4, 4)
     shards = make_shards(spec, 4)
-    assert [(s.start_index, s.end_index) for s in shards] == [
-        (0, 16384), (16384, 32768), (32768, 49152), (49152, 65536)]
+    assert shards == [range(0, 16384), range(16384, 32768),
+                      range(32768, 49152), range(49152, 65536)]
 
 
 def test_make_shards_near_equal_split():
     spec = LatticeSpec(2, 2)
     shards = make_shards(spec, 3)
-    assert [s.size for s in shards] == [6, 5, 5]
+    assert [len(s) for s in shards] == [6, 5, 5]
 
 
 @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 7, 16])
 def test_make_shards_partition_invariants(num_shards):
     spec = LatticeSpec(2, 2)
     shards = make_shards(spec, num_shards)
-    assert shards[0].start_index == 0
-    assert shards[-1].end_index == spec.num_configs
+    assert shards[0].start == 0
+    assert shards[-1].stop == spec.num_configs
     for a, b in zip(shards, shards[1:]):
-        assert a.end_index == b.start_index
-    sizes = [s.size for s in shards]
+        assert a.stop == b.start
+    sizes = [len(s) for s in shards]
     assert max(sizes) - min(sizes) <= 1
     assert shards == make_shards(spec, num_shards)  # deterministic
 
@@ -71,7 +71,7 @@ def test_enumerate_full_range_2x2():
 
 def test_enumerate_empty_shard():
     spec = LatticeSpec(2, 2)
-    empty = Shard(shard_id=0, num_shards=1, start_index=5, end_index=5)
+    empty = range(5, 5)
     dos = enumerate_shard(spec, empty)
     assert dos.total() == 0
     assert not np.any(dos.counts)
@@ -83,19 +83,21 @@ def test_enumerate_touches_each_index_once():
     spec = LatticeSpec(3, 3)
     for shard in make_shards(spec, 5):
         part = enumerate_shard(spec, shard)
-        assert part.total() == shard.size
+        assert part.total() == len(shard)
 
 
 def test_enumerate_rejects_bad_shard():
     spec = LatticeSpec(2, 2)
-    with pytest.raises(ValueError):
-        enumerate_shard(spec, Shard(0, 1, 0, 17))
+    # Past the end, then two stepped ranges.
+    for bad in (range(0, 17), range(0, 16, 2), range(15, -1, -1)):
+        with pytest.raises(ValueError, match="invalid"):
+            enumerate_shard(spec, bad)
 
 
 def _oracle_slice(spec, shard):
     # The naive engine's g(M, E) of the shard's indices, one by one.
     expected = DoSHistogram(spec)
-    for index in range(shard.start_index, shard.end_index):
+    for index in shard:
         m, e = oracle_cell(spec, index)
         expected.counts[expected.m_index(m), expected.e_index(e)] += 1
     return expected
@@ -105,8 +107,7 @@ def test_enumerate_tall_columns_without_tables():
     # Past the oracle's full-walk cap: check a slice of 17x2 (34 spins)
     # configuration by configuration against the naive engine.
     spec = LatticeSpec(17, 2)
-    shard = Shard(shard_id=0, num_shards=1, start_index=123456,
-                  end_index=123456 + 4096)
+    shard = range(123456, 123456 + 4096)
     dos = enumerate_shard(spec, shard)
     assert dos.total() == 4096
     assert dos == _oracle_slice(spec, shard)
@@ -121,8 +122,7 @@ def test_enumerate_top_slice_matches_oracle(dims, coupling, block_bits):
     # boundary 5 default blocks below 2^N (and many more of 2^3).
     spec = LatticeSpec(*dims, coupling=coupling)
     start = spec.num_configs - 5 * (1 << BLOCK_BITS) - 2000
-    shard = Shard(shard_id=0, num_shards=1, start_index=start,
-                  end_index=start + 4096)
+    shard = range(start, start + 4096)
     dos = enumerate_shard(spec, shard, block_bits=block_bits)
     assert dos.total() == 4096
     assert dos == _oracle_slice(spec, shard)
@@ -155,8 +155,8 @@ def test_enumerate_full_range_matches_oracle(dims, coupling):
         # still add up to the same histogram.
         size = 1 << min(bits, n)
         cut = spec.num_configs // 2 // size * size + 3
-        head = enumerate_shard(spec, Shard(0, 2, 0, cut), block_bits=bits)
-        tail = enumerate_shard(spec, Shard(1, 2, cut, spec.num_configs),
+        head = enumerate_shard(spec, range(0, cut), block_bits=bits)
+        tail = enumerate_shard(spec, range(cut, spec.num_configs),
                                block_bits=bits)
         assert merge([head, tail]) == dos
 
@@ -232,13 +232,6 @@ def test_cells_sorted_m_desc_e_asc(dos4x4):
     assert keys == sorted(keys)
 
 
-def test_histogram_addition_requires_same_spec():
-    a = DoSHistogram(LatticeSpec(2, 2))
-    b = DoSHistogram(LatticeSpec(2, 3))
-    with pytest.raises(ValueError):
-        a + b
-
-
 def test_histogram_rejects_wrong_shape():
     with pytest.raises(ValueError):
         DoSHistogram(LatticeSpec(2, 2), counts=np.zeros((3, 3), dtype=np.int64))
@@ -278,6 +271,31 @@ def test_verify_catches_asymmetry(dos4x4):
     report = verify_dos(tweaked)
     assert "flip-symmetry" in report.failed_names()
     assert "total-count" not in report.failed_names()
+
+
+def test_verify_catches_odd_anti_aligned_count(dos4x4):
+    # Move one M = 0 configuration from column 8 to column 9, an odd number
+    # of anti-aligned bonds: totals, marginals and flip symmetry all survive.
+    tweaked = DoSHistogram(dos4x4.spec, dos4x4.counts.copy())
+    tweaked.counts[8, 8] -= 1
+    tweaked.counts[8, 9] += 1
+    report = verify_dos(tweaked)
+    assert report.failed_names() == ["energy-grid"]
+    assert "FAIL energy-grid: (M=0, E=-14)" in str(report)
+
+
+def test_energy_grid_counts_anti_aligned_bonds_for_negative_coupling():
+    # 3x3x3 has B = 81 bonds, so for J < 0 a column's parity differs from
+    # its anti-aligned bond count.  Both aligned states have no anti-aligned
+    # bond and sit in column B; column B - 1 holds one anti-aligned bond.
+    spec = LatticeSpec(3, 3, 3, coupling=-1)
+    b = spec.num_bonds
+    assert enumerate_shard(spec, range(0, 1)).counts[0, b] == 1
+    dos = DoSHistogram(spec)
+    dos.counts[[0, -1], b] = 1
+    assert "energy-grid" not in verify_dos(dos).failed_names()
+    dos.counts[[0, -1], b - 1] = 1
+    assert "energy-grid" in verify_dos(dos).failed_names()
 
 
 def test_verify_fails_zero_histogram():

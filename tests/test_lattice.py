@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from isingdos import LatticeSpec, Shard, build_tables, enumerate_shard
+from isingdos import LatticeSpec, build_tables, enumerate_shard
 from isingdos.oracle import decode_spins, site_order
 
 from conftest import ENGINES
@@ -129,7 +129,7 @@ def test_decode_rejects_out_of_range():
         with pytest.raises(ValueError, match="outside"):
             decode_spins(spec, index)
         with pytest.raises(ValueError, match="invalid"):
-            enumerate_shard(spec, Shard(0, 1, index, index + 1))
+            enumerate_shard(spec, range(index, index + 1))
 
 
 # -- spin excess ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -130,3 +131,22 @@ def test_rejects_incomplete_histogram():
     partial.counts[0, 0] = 3
     with pytest.raises(ValueError, match="complete"):
         partition_point(partial, 0.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coupling,h,t", [(1, 1e308, 1.0), (1e308, 0.0, 1.0),
+                                          (1, 0.0, 1e-310), (1, 0.0, 1e308)],
+                         ids=["huge-field", "huge-coupling", "subnormal-temperature",
+                              "huge-free-energy"])
+def test_rejects_observables_past_float_range(coupling, h, t):
+    dos = full_dos(LatticeSpec(2, 2, coupling=coupling), workers=1)
+    with pytest.raises(ValueError, match="outside the float range"):
+        partition_point(dos, h, t)
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_temperature_stays_finite(dos2x2):
+    pt = partition_point(dos2x2, 0.0, 1e300)
+    assert all(map(math.isfinite, astuple(pt)))
+    assert pt.log_z == pytest.approx(4 * math.log(2))
+    assert pt.free_energy == pytest.approx(-1e300 * 4 * math.log(2))
