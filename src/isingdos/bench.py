@@ -53,29 +53,22 @@ def run_bench(spec: LatticeSpec, worker_counts, repeats: int = 3) -> list[BenchR
 
     records = []
     for p in counts:
-        best_wall = None
-        best_per = None
-        for _ in range(repeats):
-            hist, wall, per_worker = full_dos_timed(spec, workers=p)
-            if hist != reference:
-                raise ResultMismatchError(
-                    f"{p}-worker run disagrees with the 1-worker result "
-                    f"on {spec.rows}x{spec.cols}x{spec.depth}"
-                )
-            if best_wall is None or wall < best_wall:
-                best_wall, best_per = wall, per_worker
+        runs = [full_dos_timed(spec, workers=p) for _ in range(repeats)]
+        if any(hist != reference for hist, _, _ in runs):
+            raise ResultMismatchError(
+                f"{p}-worker run disagrees with the 1-worker result "
+                f"on {spec.rows}x{spec.cols}x{spec.depth}"
+            )
+        _, wall, per_worker = min(runs, key=lambda run: run[1])
         records.append(BenchRecord(spec=spec, num_workers=p,
-                                   wall_seconds=best_wall,
-                                   per_worker_seconds=best_per))
+                                   wall_seconds=wall,
+                                   per_worker_seconds=per_worker))
 
     baseline = next((r.wall_seconds for r in records if r.num_workers == 1),
                     ref_wall)
     for r in records:
         r.speedup_vs_one = baseline / r.wall_seconds
     return records
-
-
-REPORT_HEADER = "rows,cols,depth,N,workers,wall_seconds,speedup"
 
 
 def emit_scaling_report(records) -> str:
@@ -86,25 +79,10 @@ def emit_scaling_report(records) -> str:
     records = list(records)
     if not records:
         raise ValueError("no records to report")
-    rows = [REPORT_HEADER]
+    rows = ["rows,cols,depth,N,workers,wall_seconds,speedup"]
     for r in sorted(records, key=lambda r: (r.spec.num_spins, r.num_workers)):
         s = r.spec
         rows.append(f"{s.rows},{s.cols},{s.depth},{s.num_spins},"
                     f"{r.num_workers},{r.wall_seconds!r},{r.speedup_vs_one!r}")
     return "\n".join(rows) + "\n"
 
-
-def parse_scaling_report(text: str) -> list[dict]:
-    """Inverse of emit_scaling_report: list of typed row dicts."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != REPORT_HEADER:
-        raise ValueError(f"expected header {REPORT_HEADER!r}")
-    out = []
-    for ln in lines[1:]:
-        rows, cols, depth, n, workers, wall, speedup = ln.split(",")
-        out.append({
-            "rows": int(rows), "cols": int(cols), "depth": int(depth),
-            "N": int(n), "workers": int(workers),
-            "wall_seconds": float(wall), "speedup": float(speedup),
-        })
-    return out

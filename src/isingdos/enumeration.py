@@ -181,20 +181,15 @@ def enumerate_shard(spec: LatticeSpec, shard: range,
     return DoSHistogram(spec, counts)
 
 
-def merge(parts, spec: LatticeSpec | None = None) -> DoSHistogram:
+def merge(parts) -> DoSHistogram:
     """Elementwise sum of shard histograms (order-independent).
 
     Args:
-        parts: histograms sharing one spec.
-        spec:  required when parts is empty (yields the zero histogram).
+        parts: nonempty list of histograms sharing one spec.
     """
     parts = list(parts)
     if not parts:
-        if spec is None:
-            raise ValueError("merge of no parts needs an explicit spec")
-        return DoSHistogram(spec)
-    if spec is not None and parts[0].spec != spec:
-        raise ValueError("declared spec does not match the parts")
+        raise ValueError("merge needs at least one part")
     spec = parts[0].spec
     if any(p.spec != spec for p in parts):
         raise ValueError("cannot merge histograms of different lattices")

@@ -245,6 +245,15 @@ def test_thermo_huge_temperature_stays_finite(dos2x2_file, capsys):
     assert values[2] == pytest.approx(4 * math.log(2))  # log Z -> N log 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_thermo_huge_field_stays_finite(dos2x2_file, capsys):
+    assert run_cli("thermo", str(dos2x2_file), "--field", "1e200", "--tmin", "1",
+                   "--tmax", "1") == 0
+    values = [float(v) for v in capsys.readouterr().out.splitlines()[1].split(",")]
+    assert all(map(math.isfinite, values))
+    assert values[4:7] == [-4e200, 0.0, 4.0]  # U, C, <M>
+
+
 def test_thermo_rejects_oversized_grid(dos2x2_file, capsys):
     assert run_cli("thermo", str(dos2x2_file), "--tmin", "1", "--tmax", "1e12",
                    "--tstep", "1e-3") == 1

@@ -179,19 +179,11 @@ def test_merge_is_order_invariant(spec4x4):
     assert merge(parts) == merge(parts[::-1])
 
 
-def test_merge_empty_with_declared_spec():
-    spec = LatticeSpec(2, 2)
-    dos = merge([], spec=spec)
-    assert dos.total() == 0 and dos.spec == spec
-
-
 def test_merge_rejects_mismatched_specs():
     a = DoSHistogram(LatticeSpec(2, 2))
     b = DoSHistogram(LatticeSpec(2, 3))
     with pytest.raises(ValueError):
         merge([a, b])
-    with pytest.raises(ValueError):
-        merge([a], spec=LatticeSpec(2, 3))
     with pytest.raises(ValueError):
         merge([])
 

@@ -144,6 +144,21 @@ def test_rejects_observables_past_float_range(coupling, h, t):
         partition_point(dos, h, t)
 
 
+# Only the ground cells carry weight; every other cell's weight underflows to
+# 0 while its squared deviation from U overflows, and must add 0 to C.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coupling,h,energy,magnetization", [
+    (1, 1e200, -4e200, 4.0), (1e200, 0.0, -8e200, 0.0)],
+    ids=["huge-field", "huge-coupling"])
+def test_far_cells_add_nothing_to_the_variance(coupling, h, energy, magnetization):
+    dos = full_dos(LatticeSpec(2, 2, coupling=coupling), workers=1)
+    pt = partition_point(dos, h, 1.0)
+    assert all(map(math.isfinite, astuple(pt)))
+    assert pt.internal_energy == energy
+    assert pt.specific_heat == 0.0
+    assert pt.mean_magnetization == magnetization
+
+
 @pytest.mark.filterwarnings("error")
 def test_huge_temperature_stays_finite(dos2x2):
     pt = partition_point(dos2x2, 0.0, 1e300)
