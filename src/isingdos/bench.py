@@ -1,11 +1,11 @@
 """Wall-clock scaling of the sharded enumeration across worker counts.
 
 One monotonic clock, minimum-of-repeats aggregation, and a hard identity
-check: every benchmarked run's histogram must equal the 1-worker
-reference, because the timing of a wrong answer is meaningless.
+check: every benchmarked run's histogram must equal the serial reference,
+because the timing of a wrong answer is meaningless.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .enumeration import full_dos_timed
 from .lattice import LatticeSpec
@@ -22,16 +22,16 @@ class BenchRecord:
     spec: LatticeSpec
     num_workers: int
     wall_seconds: float
-    per_worker_seconds: list[float] = field(default_factory=list)
-    speedup_vs_one: float = 0.0  # filled once the 1-worker baseline exists
+    per_worker_seconds: list[float]
+    speedup_vs_one: float
 
 
 def run_bench(spec: LatticeSpec, worker_counts, repeats: int = 3) -> list[BenchRecord]:
     """Measure full-enumeration wall time for each worker count.
 
     Each count runs `repeats` times; the minimum wall time wins (robust to
-    scheduler noise).  A 1-worker reference histogram is computed first and
-    every run is verified against it.
+    scheduler noise).  The serial runs (the 1-worker runs, or one extra run)
+    are the reference every run must match and the speedup baseline.
 
     Args:
         spec: lattice to enumerate.
@@ -49,25 +49,23 @@ def run_bench(spec: LatticeSpec, worker_counts, repeats: int = 3) -> list[BenchR
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
-    reference, ref_wall, _ = full_dos_timed(spec, workers=1)
+    serial = [full_dos_timed(spec, workers=1)
+              for _ in range(repeats if 1 in counts else 1)]
+    reference, baseline, _ = min(serial, key=lambda run: run[1])
 
     records = []
     for p in counts:
-        runs = [full_dos_timed(spec, workers=p) for _ in range(repeats)]
+        runs = serial if p == 1 else [full_dos_timed(spec, workers=p)
+                                      for _ in range(repeats)]
         if any(hist != reference for hist, _, _ in runs):
             raise ResultMismatchError(
                 f"{p}-worker run disagrees with the 1-worker result "
                 f"on {spec.rows}x{spec.cols}x{spec.depth}"
             )
         _, wall, per_worker = min(runs, key=lambda run: run[1])
-        records.append(BenchRecord(spec=spec, num_workers=p,
-                                   wall_seconds=wall,
-                                   per_worker_seconds=per_worker))
-
-    baseline = next((r.wall_seconds for r in records if r.num_workers == 1),
-                    ref_wall)
-    for r in records:
-        r.speedup_vs_one = baseline / r.wall_seconds
+        records.append(BenchRecord(spec=spec, num_workers=p, wall_seconds=wall,
+                                   per_worker_seconds=per_worker,
+                                   speedup_vs_one=baseline / wall))
     return records
 
 

@@ -176,7 +176,11 @@ def parse_dos(text: str) -> DoSHistogram:
 
 
 def read_dos(path: str) -> DoSHistogram:
-    """Load a DoS file from disk."""
+    """Load a DoS file from disk; bytes that are not UTF-8 are a parse error."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_dos(f.read())
+        try:
+            return parse_dos(f.read())
+        except UnicodeDecodeError as exc:  # exc.object holds the whole file
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise DosFileError(line, f"not valid UTF-8: {exc.reason}") from None
 

@@ -1,12 +1,13 @@
 """Deliberately naive reference engine: explicit spin arrays and neighbor loops.
 
-Nothing here touches the split-index kernel or its axis masks.
-Configurations are decoded site by site, energies are summed bond by bond,
-and the full density of states is accumulated one configuration at a time.
-Agreement with the fast engine is therefore evidence, not tautology.  Slow
-on purpose; capped at 24 spins.
+Nothing here touches the split-index kernel or its axis masks.  One
+definition gives a configuration's (M, E): `decode_spins` site by site, then
+`oracle_magnetization` and `oracle_energy` spin by spin and bond by bond.
+Per-index checks, the full DoS and brute-force Z all run it, so agreement
+with the fast engine is evidence, not tautology.  Slow; capped at 24 spins.
 """
 
+import collections
 import functools
 import math
 
@@ -25,17 +26,18 @@ def site_order(spec: LatticeSpec) -> list[tuple[int, int, int]]:
             for l in range(spec.depth)]
 
 
-def _bit_position(spec, r, c, l):
+@functools.lru_cache(maxsize=64)
+def _bit_positions(spec: LatticeSpec) -> tuple[int, ...]:
     # Shared index convention: bit of site (r, c, l) within the global index.
-    return (l * spec.cols + c) * spec.rows + r
+    return tuple((l * spec.cols + c) * spec.rows + r
+                 for r, c, l in site_order(spec))
 
 
 def decode_spins(spec: LatticeSpec, index: int) -> list[int]:
     """Decode a configuration index into +/-1 spins, one per (row, col, layer)."""
     if not 0 <= index < spec.num_configs:
         raise ValueError(f"index {index} outside [0, 2^{spec.num_spins})")
-    return [1 if (index >> _bit_position(spec, r, c, l)) & 1 else -1
-            for r, c, l in site_order(spec)]
+    return [1 if (index >> p) & 1 else -1 for p in _bit_positions(spec)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -47,16 +49,13 @@ def bond_pairs(spec: LatticeSpec) -> tuple[tuple[int, int], ...]:
     same pair of sites twice -- the two distinct bonds of a periodic ring
     of two.
     """
-    flat = {}
-    for i, rcl in enumerate(site_order(spec)):
-        flat[rcl] = i
+    sites = site_order(spec)
     pairs = []
-    for r, c, l in site_order(spec):
-        here = flat[(r, c, l)]
-        pairs.append((here, flat[((r + 1) % spec.rows, c, l)]))
-        pairs.append((here, flat[(r, (c + 1) % spec.cols, l)]))
+    for here, (r, c, l) in enumerate(sites):
+        pairs.append((here, sites.index(((r + 1) % spec.rows, c, l))))
+        pairs.append((here, sites.index((r, (c + 1) % spec.cols, l))))
         if spec.depth > 1:
-            pairs.append((here, flat[(r, c, (l + 1) % spec.depth)]))
+            pairs.append((here, sites.index((r, c, (l + 1) % spec.depth))))
     return tuple(pairs)
 
 
@@ -71,17 +70,15 @@ def oracle_magnetization(spins) -> int:
 
 
 def _walk(spec: LatticeSpec):
-    """(M, E) of every configuration in index order, spin by spin and bond by bond."""
+    """(M, E) of every configuration in index order, by the per-index definition."""
     n = spec.num_spins
     if n > ORACLE_MAX_SPINS:
         raise ValueError(
             f"{n} spins exceeds the oracle cap of {ORACLE_MAX_SPINS}"
         )
-    positions = [_bit_position(spec, r, c, l) for r, c, l in site_order(spec)]
-    pairs = bond_pairs(spec)
     for index in range(spec.num_configs):
-        spins = [1 if (index >> p) & 1 else -1 for p in positions]
-        yield sum(spins), -spec.coupling * sum(spins[i] * spins[j] for i, j in pairs)
+        spins = decode_spins(spec, index)
+        yield oracle_magnetization(spins), oracle_energy(spins, spec)
 
 
 def oracle_full_dos(spec: LatticeSpec) -> DoSHistogram:
@@ -91,8 +88,8 @@ def oracle_full_dos(spec: LatticeSpec) -> DoSHistogram:
         ValueError: if the lattice has more than ORACLE_MAX_SPINS spins.
     """
     hist = DoSHistogram(spec)
-    for m, e in _walk(spec):
-        hist.counts[hist.m_index(m), hist.e_index(e)] += 1
+    for (m, e), count in collections.Counter(_walk(spec)).items():
+        hist.counts[hist.m_index(m), hist.e_index(e)] += count
     return hist
 
 

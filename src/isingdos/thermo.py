@@ -90,9 +90,9 @@ def thermo_sweep(dos: DoSHistogram, h: float, temps) -> list[ThermoPoint]:
             p = w / s
             u = float(p @ energy)
             mean_m = float(p @ m)
-            # Central moments keep the variances nonnegative.  A cell whose
-            # weight underflowed to 0 adds 0, not 0 * inf = NaN.
-            var_e = p @ np.where(p > 0, (energy - u) ** 2, 0.0)
+            # Central moments keep the variances nonnegative; dividing by T before
+            # squaring spares C an overflow.  Underflowed weights add 0, not 0*inf.
+            heat = p @ np.where(p > 0, ((energy - u) / temperature) ** 2, 0.0)
             var_m = p @ (m - mean_m) ** 2
             point = ThermoPoint(
                 field=h,
@@ -100,7 +100,7 @@ def thermo_sweep(dos: DoSHistogram, h: float, temps) -> list[ThermoPoint]:
                 log_z=log_z,
                 free_energy=-temperature * log_z,
                 internal_energy=u,
-                specific_heat=float(var_e / np.float64(temperature) ** 2),
+                specific_heat=float(heat),
                 mean_magnetization=mean_m,
                 susceptibility=float(var_m / temperature),
             )

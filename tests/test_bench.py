@@ -40,6 +40,24 @@ def test_baseline_without_explicit_one_worker():
     assert records[0].speedup_vs_one > 0
 
 
+@pytest.mark.parametrize("counts,repeats,walks", [
+    ([1], 3, 3), ([1, 2], 2, 4), ([2], 1, 2)],
+    ids=["one-worker", "one-and-two-workers", "two-workers"])
+def test_serial_runs_are_the_reference(monkeypatch, counts, repeats, walks):
+    # The requested 1-worker runs double as the reference and the baseline;
+    # only without them does run_bench add one serial walk.
+    real, calls = bench_mod.full_dos_timed, []
+
+    def counted(spec_, workers=None, **kwargs):
+        calls.append(workers)
+        return real(spec_, workers=workers, **kwargs)
+
+    monkeypatch.setattr(bench_mod, "full_dos_timed", counted)
+    records = run_bench(LatticeSpec(2, 3), counts, repeats=repeats)
+    assert len(calls) == walks
+    assert [r.num_workers for r in records] == counts
+
+
 def test_validates_arguments():
     spec = LatticeSpec(2, 2)
     with pytest.raises(ValueError):

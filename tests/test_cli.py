@@ -149,6 +149,8 @@ MALFORMED = {
     "csv-count-past-int64": "# rows=2 cols=2 depth=1 J=1 N=4 B=8 version=1\n"
                             "count,M,E\n99999999999999999999999,4,-8\n",
     "json-nested-too-deeply": '{"cells": %s}' % ("[" * 100_000 + "]" * 100_000),
+    "csv-not-utf8": b"# rows=2 cols=2 depth=1 J=1 N=4 B=8 version=1\n"
+                    b"count,M,E\n1,4,-8\xff\n",
 }
 
 
@@ -158,7 +160,11 @@ MALFORMED = {
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_file_is_parse_error(tmp_path, capsys, command, name):
     path = tmp_path / "dos.txt"
-    path.write_text(MALFORMED[name])
+    content = MALFORMED[name]
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     assert run_cli(command[0], str(path), *command[1:]) == 1
     assert capsys.readouterr().err.splitlines()[0].startswith("error: parse:")
 
@@ -245,13 +251,28 @@ def test_thermo_huge_temperature_stays_finite(dos2x2_file, capsys):
     assert values[2] == pytest.approx(4 * math.log(2))  # log Z -> N log 2
 
 
+# U, C and <M> of a 2x2 lattice: exact where only the ground cells carry
+# weight, the T = 1 closed form scaled by J = T otherwise.
+HUGE_BUT_FINITE = [
+    ("1", ("--field", "1e200", "--tmin", "1", "--tmax", "1"),
+     [-4e200, 0.0, 4.0], 0),
+    ("1e300", ("--tmin", "1e300", "--tmax", "1e300"),
+     [-7.98392834374676e300, 0.12832932745715867, 0.0], 1e-12),
+]
+
+
 @pytest.mark.filterwarnings("error")
-def test_thermo_huge_field_stays_finite(dos2x2_file, capsys):
-    assert run_cli("thermo", str(dos2x2_file), "--field", "1e200", "--tmin", "1",
-                   "--tmax", "1") == 0
-    values = [float(v) for v in capsys.readouterr().out.splitlines()[1].split(",")]
-    assert all(map(math.isfinite, values))
-    assert values[4:7] == [-4e200, 0.0, 4.0]  # U, C, <M>
+def test_thermo_huge_field_stays_finite(tmp_path, capsys):
+    path = tmp_path / "dos.csv"
+    for coupling, argv, expected, rel in HUGE_BUT_FINITE:
+        assert run_cli("dos", "--rows", "2", "--cols", "2", "--coupling",
+                       coupling, "--out", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli("thermo", str(path), *argv) == 0
+        values = [float(v)
+                  for v in capsys.readouterr().out.splitlines()[1].split(",")]
+        assert all(map(math.isfinite, values))
+        assert values[4:7] == pytest.approx(expected, rel=rel, abs=0)  # U, C, <M>
 
 
 def test_thermo_rejects_oversized_grid(dos2x2_file, capsys):

@@ -107,6 +107,17 @@ def test_parse_error_truncated_row_reports_line(dos4x4):
     assert "line 11" in str(err.value)
 
 
+def test_read_error_not_utf8_reports_line(tmp_path, dos4x4):
+    data = format_dos_csv(dos4x4).encode("utf-8").split(b"\n")
+    data[10] += b"\xff"
+    path = tmp_path / "dos.csv"
+    path.write_bytes(b"\n".join(data))
+    with pytest.raises(DosFileError) as err:
+        read_dos(str(path))
+    assert err.value.line == 11
+    assert "UTF-8" in str(err.value)
+
+
 def test_parse_error_non_numeric_field(dos2x2):
     lines = _lines(dos2x2)
     lines[2] = "one,4,-8"

@@ -1,8 +1,11 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import isingdos.oracle as oracle_mod
 from isingdos import (
     LatticeSpec,
     full_dos,
@@ -103,3 +106,22 @@ def test_brute_force_log_z_matches_histogram_route():
 def test_brute_force_log_z_rejects_bad_temperature():
     with pytest.raises(ValueError):
         brute_force_log_z(LatticeSpec(2, 2), 0.0, 0.0)
+
+
+def test_oracle_shares_no_code_with_the_fast_engine():
+    # The oracle's agreement is evidence only while it stays independent.
+    tree = ast.parse(Path(oracle_mod.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "isingdos" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "isingdos"):
+            imported |= {alias.name for alias in node.names}
+    assert imported == {"LatticeSpec", "DoSHistogram"}
+    fast_path = {"axis_rotations", "bond_words", "enumerate_shard", "full_dos",
+                 "make_shards", "merge"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    assert not used & fast_path

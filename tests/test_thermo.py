@@ -144,19 +144,28 @@ def test_rejects_observables_past_float_range(coupling, h, t):
         partition_point(dos, h, t)
 
 
-# Only the ground cells carry weight; every other cell's weight underflows to
-# 0 while its squared deviation from U overflows, and must add 0 to C.
+# Deviations from U whose squares overflow.  At T = 1 only the ground cells
+# carry weight; every other cell's weight underflows to 0 and must add 0 to C
+# (exact).  With h or J as large as T, C is of order 1 or below, and the
+# deviations must reach it scaled by T, not squared first (closed form).
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("coupling,h,energy,magnetization", [
-    (1, 1e200, -4e200, 4.0), (1e200, 0.0, -8e200, 0.0)],
-    ids=["huge-field", "huge-coupling"])
-def test_far_cells_add_nothing_to_the_variance(coupling, h, energy, magnetization):
+@pytest.mark.parametrize("coupling,h,t,energy,heat,magnetization,rel", [
+    (1, 1e200, 1.0, -4e200, 0.0, 4.0, 0),
+    (1e200, 0.0, 1.0, -8e200, 0.0, 0.0, 0),
+    (1, 1e160, 1e160, -3.0463766238230594e160, 1.6798973664561043,
+     3.0463766238230594, 1e-12),
+    (1, 1e200, 1e300, 0.0, 4e-200, 0.0, 1e-12),
+    (1e300, 0.0, 1e300, -7.98392834374676e300, 0.12832932745715867, 0.0, 1e-12),
+], ids=["huge-field", "huge-coupling", "field-as-large-as-t",
+        "field-spread-past-float-range", "coupling-as-large-as-t"])
+def test_far_cells_add_nothing_to_the_variance(coupling, h, t, energy, heat,
+                                               magnetization, rel):
     dos = full_dos(LatticeSpec(2, 2, coupling=coupling), workers=1)
-    pt = partition_point(dos, h, 1.0)
+    pt = partition_point(dos, h, t)
     assert all(map(math.isfinite, astuple(pt)))
-    assert pt.internal_energy == energy
-    assert pt.specific_heat == 0.0
-    assert pt.mean_magnetization == magnetization
+    assert pt.internal_energy == pytest.approx(energy, rel=rel, abs=0)
+    assert pt.specific_heat == pytest.approx(heat, rel=rel, abs=0)
+    assert pt.mean_magnetization == pytest.approx(magnetization, rel=rel, abs=0)
 
 
 @pytest.mark.filterwarnings("error")
