@@ -6,23 +6,33 @@ the 2^k low parts L (per periodic axis, the index XOR its masked rotation,
 packed into uint64 words) are tabulated once per shard; the masks are linear
 over GF(2), so a block XORs its base's words into the table, takes one vector
 popcount per word and bins (spin excess, exchange energy) with one bincount.
-Counts are exact integers and `merge` adds the shard tables elementwise, so
-the total is bit-identical for any shard count or merge order."""
+Only the base's bond bits that touch a low site change that histogram; the
+rest shift it.  Blocks whose bases agree on those bits form a boundary class
+(multi-spin coding, Jacobs & Rebbi 1981, cut once like Beale's 1996 transfer
+matrix), and each chunk of bases bins each of its classes once.  Counts are
+exact integers and `merge` adds the shard tables elementwise, so the total is
+bit-identical for any shard count or merge order.  With several workers, each
+shard runs in a forked process of its own that pipes its table back."""
 
 import os
+import pickle
 import time
-from multiprocessing import Pool
+from collections import Counter
 
 import numpy as np
 
 from .lattice import LatticeSpec
 
 # Blocks of 2^12 indices keep the table and each step's temporaries in L2.
-# 2^13 walks 5x5 ~20% faster but lifts a pool worker's peak RSS by 0.1-0.25 MB
-# (2^14: ~0.5 MB), which counts once per worker (2-vCPU x86, numpy 2.4).
+# 2^13 walks 5x5 ~20% faster but lifts a shard worker's peak RSS by
+# 0.1-0.25 MB (2^14: ~0.5 MB), which counts once per worker (2-vCPU x86,
+# numpy 2.4).
 BLOCK_BITS = 12
-#: Block bases whose scalars are computed in one vectorized step.
+#: Block bases whose scalars are computed in one vectorized step, and whose
+#: classes are grouped together.
 BASE_CHUNK = 256
+# One uint64 bond word of a packed int.
+WORD = (1 << 64) - 1
 
 
 def make_shards(spec: LatticeSpec, num_shards: int) -> list[range]:
@@ -160,19 +170,61 @@ def enumerate_shard(spec: LatticeSpec, shard: range,
     low = np.arange(size, dtype=np.uint64)
     table = spec.bond_words(low)
     key_low = np.bitwise_count(low).astype(np.intp) * (b + 1)
-    flat = np.zeros((n + 1) * (b + 1), dtype=np.int64)
-    last = (end + size - 1) >> k  # one past the last block the shard meets
-    for first in range(start >> k, last, BASE_CHUNK):
-        heads = range(first, min(first + BASE_CHUNK, last))
-        bases = np.arange(heads.start, heads.stop, dtype=np.uint64) << np.uint64(k)
-        offsets = (np.bitwise_count(bases).astype(np.intp) * (b + 1)).tolist()
-        for h, off, *scalars in zip(heads, offsets, *spec.bond_words(bases)):
-            lo, hi = max(start - (h << k), 0), min(end - (h << k), size)
-            anti = np.bitwise_count(table[0][lo:hi] ^ scalars[0])
-            for word, scalar in zip(table[1:], scalars[1:]):
-                anti += np.bitwise_count(word[lo:hi] ^ scalar)
-            counts = np.bincount(key_low[lo:hi] + anti)
-            flat[off:off + counts.size] += counts
+    cells = (n + 1) * (b + 1)
+    flat = np.zeros(cells, dtype=np.int64)
+
+    def block_counts(words, lo=0, hi=size):
+        # Histogram of ups*(B+1) + anti over table rows [lo, hi) XOR the
+        # scalar bond words, packed in one int with word i at bit 64i.
+        anti = np.bitwise_count(table[0][lo:hi] ^ (words & WORD))
+        for i, word in enumerate(table[1:], 1):
+            anti += np.bitwise_count(word[lo:hi] ^ (words >> 64 * i & WORD))
+        return np.bincount(key_low[lo:hi] + anti)
+
+    def add(counts, shift, times=1):
+        flat[shift:shift + counts.size] += counts if times == 1 else times * counts
+
+    # Partial blocks at the shard's cuts, each on its own.
+    first, stop = -(-start >> k), end >> k  # heads of the whole blocks
+    for piece in ([range(start, end)] if first > stop else
+                  [range(start, first << k), range(stop << k, end)]):
+        if piece:
+            base = piece.start >> k << k
+            words = sum(word << 64 * i
+                        for i, word in enumerate(spec.bond_words(base)))
+            add(block_counts(words, piece.start - base, piece.stop - base),
+                base.bit_count() * (b + 1))
+
+    # Whole blocks.  The table's words lie inside the support R, the bond
+    # bits that touch a low site, so popcount(t ^ s) = popcount(t ^ (s & R))
+    # + popcount(s & ~R): a block's histogram is that of its class s & R,
+    # shifted by popcount(s & ~R) anti-aligned bonds.  Each chunk of bases
+    # bins each of its classes once.
+    support = [np.uint64(r) for r in spec.bond_support(size - 1)]
+    for head in range(first, stop, BASE_CHUNK):
+        bases = (np.arange(head, min(head + BASE_CHUNK, stop), dtype=np.uint64)
+                 << np.uint64(k))
+        shifts = np.bitwise_count(bases).astype(np.intp) * (b + 1)
+        scalars = spec.bond_words(bases)
+        # A class's key is its words packed like block_counts takes them.
+        keys = None
+        for i, (scalar, r) in enumerate(zip(scalars, support)):
+            cls = scalar & r
+            shifts += np.bitwise_count(scalar ^ cls)
+            words = cls.tolist()
+            keys = words if keys is None else [
+                key | word << 64 * i for key, word in zip(keys, words)]
+        # Blocks per (class, shift), keyed key * cells + shift: sorted, each
+        # class's shifts come together, so one class histogram is alive at
+        # a time.
+        blocks = Counter([key * cells + shift
+                          for key, shift in zip(keys, shifts.tolist())])
+        binned = None
+        for cell in sorted(blocks):
+            key, shift = divmod(cell, cells)
+            if key != binned:
+                binned, counts = key, block_counts(key)
+            add(counts, shift, blocks[cell])
     counts = flat.reshape(n + 1, b + 1)
     if spec.coupling < 0:
         # E = J * (2*anti - B): column `anti` is the energy index for J > 0,
@@ -206,15 +258,36 @@ def available_parallelism() -> int:
         return os.cpu_count() or 1
 
 
-def _shard_worker(args):
-    # Runs in a worker process; each worker reports its own interval.
-    t0 = time.perf_counter()
-    hist = enumerate_shard(*args)
-    return hist, time.perf_counter() - t0
+class RemoteTraceback(Exception):
+    """The formatted traceback of an exception raised in a shard worker."""
+
+
+def _shard_worker(spec, shard, conn):
+    # Runs in the shard's own process.  Replies (histogram, its own
+    # interval), or if the walk raised, (the pickled exception, or None if
+    # it does not pickle, and its formatted traceback).
+    try:
+        t0 = time.perf_counter()
+        hist = enumerate_shard(spec, shard)
+        reply = hist, time.perf_counter() - t0
+    except Exception as exc:
+        import traceback  # only a failed walk needs it
+        try:
+            pickled = pickle.dumps(exc)
+        except Exception:
+            pickled = None
+        reply = pickled, traceback.format_exc()
+    conn.send(reply)
+    conn.close()
 
 
 def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     """Complete density of states plus timing.
+
+    With more than one worker, each shard runs in its own process, started
+    for this call.  An exception in a worker is raised here, its traceback
+    chained as a RemoteTraceback; a worker that exits without replying
+    raises RuntimeError.
 
     Returns:
         (histogram, wall_seconds, per_worker_seconds) where the per-worker
@@ -226,15 +299,67 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
                    if spec.num_configs > 1 << BLOCK_BITS else 1)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [(spec, shard) for shard in make_shards(spec, workers)]
+    shards = make_shards(spec, workers)
     t0 = time.perf_counter()
     if workers == 1:
-        results = [_shard_worker(jobs[0])]
+        hist = enumerate_shard(spec, shards[0])
+        results = [(hist, time.perf_counter() - t0)]
     else:
-        with Pool(processes=workers) as pool:
-            results = pool.map(_shard_worker, jobs)
+        results = _run_shards(spec, shards)
     wall = time.perf_counter() - t0
     return merge(hist for hist, _ in results), wall, [secs for _, secs in results]
+
+
+def _run_shards(spec, shards):
+    """(histogram, seconds) of each shard, each walked in a process of its own."""
+    # Imported here: a serial walk never loads multiprocessing (~0.5 MB).
+    from multiprocessing import Pipe, Process
+    from multiprocessing.connection import wait
+
+    pending = {}
+    try:
+        for i, shard in enumerate(shards):
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_shard_worker, args=(spec, shard, send),
+                           daemon=True)
+            try:
+                proc.start()
+            except BaseException:
+                recv.close()
+                raise
+            finally:
+                # Only the worker may hold the sending end, so its exit
+                # ends the pipe.
+                send.close()
+            pending[recv] = i, proc
+        results = [None] * len(shards)
+        while pending:
+            for recv in wait(list(pending)):
+                try:
+                    reply = recv.recv()
+                except EOFError:
+                    reply = None
+                i, proc = pending.pop(recv)
+                recv.close()
+                proc.join()
+                if reply is None:
+                    raise RuntimeError(f"shard worker {i} exited with code "
+                                       f"{proc.exitcode} without a result")
+                value, detail = reply
+                if isinstance(detail, str):  # the walk raised
+                    try:
+                        exc = pickle.loads(value)
+                    except Exception:
+                        exc = RuntimeError(f"shard worker {i} raised an "
+                                           f"exception that cannot be rebuilt")
+                    raise exc from RemoteTraceback(detail)
+                results[i] = reply
+        return results
+    finally:
+        for recv, (_, proc) in pending.items():
+            recv.close()
+            proc.terminate()
+            proc.join()
 
 
 def full_dos(spec: LatticeSpec, workers: int | None = None) -> DoSHistogram:

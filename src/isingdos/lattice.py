@@ -16,6 +16,7 @@ Specs are immutable, so they can be shared freely across worker processes.
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class LatticeSpec:
         """Size of the configuration space, 2^N."""
         return 1 << self.num_spins
 
-    @property
+    @cached_property
     def axis_rotations(self) -> tuple[tuple[int, int, int, int], ...]:
         """(shift, keep, back, wrap) per periodic axis: rows, cols, layers in 3D.
 
@@ -123,14 +124,30 @@ class LatticeSpec:
         map is linear over GF(2): for H and L with disjoint bits, the words
         of H | L are the words of H XOR the words of L.
         """
+        return self._pack([moved ^ x for moved in self._moved(x)])
+
+    def bond_support(self, low: int) -> list[int]:
+        """Bond bits that touch a site of the mask `low`, packed like bond_words.
+
+        Per axis that is low | (low moved one step): the union of the words
+        of every index whose set bits lie in `low`.
+        """
+        return self._pack([moved | low for moved in self._moved(low)])
+
+    def _moved(self, x):
+        # x with every spin moved one step along each periodic axis in turn.
+        for shift, keep, back, wrap in self.axis_rotations:
+            yield (x << shift) & keep | (x >> back) & wrap
+
+    def _pack(self, masks):
+        # Per-axis N-bit masks, as many to a 64-bit word as fit.
         n = self.num_spins
         per_word, words = 64 // n, []
-        for i, (shift, keep, back, wrap) in enumerate(self.axis_rotations):
-            d = ((x << shift) & keep | (x >> back) & wrap) ^ x
+        for i, mask in enumerate(masks):
             if i % per_word:
-                words[-1] |= d << n * (i % per_word)
+                words[-1] |= mask << n * (i % per_word)
             else:
-                words.append(d)
+                words.append(mask)
         return words
 
     # Kept: benchmarks/run.py computes kernel_evals_per_config from it.

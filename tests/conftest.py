@@ -1,7 +1,10 @@
+import functools
+
 import pytest
 
 from isingdos import LatticeSpec, enumerate_shard, full_dos
-from isingdos.oracle import decode_spins, oracle_energy, oracle_magnetization
+from isingdos.oracle import (decode_spins, oracle_energy, oracle_full_dos,
+                             oracle_magnetization)
 
 # Hand-derived complete DoS of the 2x2 periodic lattice (16 states, B = 8):
 # both aligned states at E = -8, the four single-flip states per sign at
@@ -46,3 +49,9 @@ def dos4x4(spec4x4):
 @pytest.fixture(scope="session")
 def dos2x2():
     return full_dos(LatticeSpec(2, 2), workers=1)
+
+
+@pytest.fixture(scope="session")
+def oracle_dos():
+    """The oracle's complete g(M, E) of a spec, walked once per session."""
+    return functools.cache(oracle_full_dos)

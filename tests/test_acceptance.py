@@ -15,7 +15,6 @@ from isingdos import (
     available_parallelism,
     format_dos_csv,
     full_dos,
-    oracle_full_dos,
     partition_point,
     read_dos,
     run_bench,
@@ -73,13 +72,13 @@ def test_criterion_2_binomial_marginals(dos4x4):
         assert marginal(12) == 120
 
 
-def test_criterion_3_oracle_equivalence():
+def test_criterion_3_oracle_equivalence(oracle_dos):
     lattices = [(2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 4, 1),
                 (3, 4, 1), (4, 4, 1), (2, 2, 2), (2, 2, 3)]
     with criterion(3, "oracle equivalence on eight lattices, cell-exact"):
         for dims in lattices:
             spec = LatticeSpec(*dims)
-            assert full_dos(spec, workers=1) == oracle_full_dos(spec), dims
+            assert full_dos(spec, workers=1) == oracle_dos(spec), dims
 
 
 @pytest.mark.parametrize("dims", [(4, 4, 1), (3, 4, 1)])

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,6 @@ from isingdos import (
     full_dos_timed,
     make_shards,
     merge,
-    oracle_full_dos,
     verify_dos,
 )
 from isingdos import enumeration
@@ -143,10 +146,10 @@ def test_enumerate_block_bits_is_invisible():
     ((3, 2, 2), 1), ((2, 3, 2), 1), ((2, 2, 3), 1), ((3, 4, 1), 1),
     ((2, 3, 3), 1), ((3, 4, 1), -1), ((2, 2, 3), -1),
 ])
-def test_enumerate_full_range_matches_oracle(dims, coupling):
+def test_enumerate_full_range_matches_oracle(dims, coupling, oracle_dos):
     spec = LatticeSpec(*dims, coupling=coupling)
     whole = make_shards(spec, 1)[0]
-    expected = oracle_full_dos(spec)
+    expected = oracle_dos(spec)
     n = spec.num_spins
     for bits in (0, 1, 3, n, n + 1):
         dos = enumerate_shard(spec, whole, block_bits=bits)
@@ -311,7 +314,7 @@ def test_auto_workers_walk_one_block_serially(monkeypatch, dims):
     # At most 2^BLOCK_BITS configurations: auto mode starts no pool.
     spec = LatticeSpec(*dims)
     expected = full_dos(spec, workers=1)
-    monkeypatch.setattr(enumeration, "Pool", None)
+    monkeypatch.setattr(multiprocessing, "Process", None)
     hist, _, per_worker = full_dos_timed(spec)
     assert hist == expected and len(per_worker) == 1
     assert full_dos(spec) == expected
@@ -320,3 +323,90 @@ def test_auto_workers_walk_one_block_serially(monkeypatch, dims):
 def test_full_dos_rejects_bad_workers(spec4x4):
     with pytest.raises(ValueError):
         full_dos(spec4x4, workers=0)
+
+
+@pytest.fixture
+def deadline():
+    # A driver that hangs fails the test instead of stalling the suite.
+    def expire(signum, frame):
+        raise TimeoutError("full_dos did not return")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# The workers see the patched walk only when they are forked.
+forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                            reason="workers are not forked")
+
+
+def _second_shard_fails(monkeypatch, fail):
+    real = enumeration.enumerate_shard
+
+    def walk(spec, shard):
+        if shard.start:
+            fail()
+        return real(spec, shard)
+    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
+
+
+@forked
+def test_worker_exception_reaches_the_caller(monkeypatch, spec4x4, deadline):
+    def fail():
+        raise ArithmeticError("shard walk failed")
+    _second_shard_fails(monkeypatch, fail)
+    with pytest.raises(ArithmeticError, match="shard walk failed") as caught:
+        full_dos(spec4x4, workers=2)
+    # The worker's traceback comes along, as with multiprocessing.Pool.
+    cause = caught.value.__cause__
+    assert isinstance(cause, enumeration.RemoteTraceback)
+    assert "in fail" in str(cause) and "ArithmeticError" in str(cause)
+    assert multiprocessing.active_children() == []
+
+
+class TwoPartError(Exception):
+    # Pickles, but its args do not rebuild it.
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+@forked
+def test_worker_exception_that_cannot_be_rebuilt(monkeypatch, spec4x4, deadline):
+    def fail():
+        raise TwoPartError("shard", "walk failed")
+    _second_shard_fails(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="shard worker 1 raised") as caught:
+        full_dos(spec4x4, workers=2)
+    assert "TwoPartError: shard: walk failed" in str(caught.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_start_closes_every_pipe(monkeypatch, spec4x4, deadline):
+    pipes = []
+
+    def pipe(duplex):
+        ends = real_pipe(duplex)
+        pipes.extend(ends)
+        return ends
+
+    def start(proc):
+        if len(pipes) > 2:
+            raise OSError("no more processes")
+        real_start(proc)
+    real_pipe, real_start = multiprocessing.Pipe, multiprocessing.Process.start
+    monkeypatch.setattr(multiprocessing, "Pipe", pipe)
+    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    with pytest.raises(OSError, match="no more processes"):
+        full_dos(spec4x4, workers=2)
+    assert len(pipes) == 4 and all(end.closed for end in pipes)
+    assert multiprocessing.active_children() == []
+
+
+@forked
+def test_worker_that_dies_silently_raises(monkeypatch, spec4x4, deadline):
+    _second_shard_fails(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="shard worker 1 exited with code 3"):
+        full_dos(spec4x4, workers=2)
+    assert multiprocessing.active_children() == []

@@ -109,6 +109,19 @@ def test_build_tables_rejects_out_of_range(rows):
         build_tables(rows)
 
 
+# Every boundary shape: length-2 axes on each side, 2D and 3D.
+@pytest.mark.parametrize("dims", [(2, 2, 1), (3, 4, 1), (4, 2, 1), (2, 3, 2), (3, 2, 3)])
+def test_bond_support(dims):
+    # The support of a mask is the union of the bond words of its subsets.
+    spec = LatticeSpec(*dims)
+    for low in (1, 0b1010, (1 << spec.num_spins // 2) - 1):
+        union = [0] * len(spec.bond_words(0))
+        for x in range(low + 1):
+            if not x & ~low:
+                union = [u | w for u, w in zip(union, spec.bond_words(x))]
+        assert spec.bond_support(low) == union, low
+
+
 # -- index layout -------------------------------------------------------------
 
 @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 2, 2), (4, 4, 1)])

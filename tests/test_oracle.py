@@ -119,8 +119,8 @@ def test_oracle_shares_no_code_with_the_fast_engine():
                 node.level or node.module.split(".")[0] == "isingdos"):
             imported |= {alias.name for alias in node.names}
     assert imported == {"LatticeSpec", "DoSHistogram"}
-    fast_path = {"axis_rotations", "bond_words", "enumerate_shard", "full_dos",
-                 "make_shards", "merge"}
+    fast_path = {"axis_rotations", "bond_words", "bond_support",
+                 "enumerate_shard", "full_dos", "make_shards", "merge"}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)}
