@@ -11,8 +11,9 @@ from .bench import BenchRecord, ResultMismatchError, emit_scaling_report, \
     run_bench
 from .dosio import DosFileError, format_dos_csv, format_dos_json, parse_dos, \
     read_dos
-from .enumeration import DoSHistogram, available_parallelism, \
-    enumerate_shard, full_dos, full_dos_timed, make_shards, merge
+from .enumeration import available_parallelism, enumerate_shard, full_dos, \
+    full_dos_timed, make_shards, merge
+from .histogram import DoSHistogram
 from .lattice import LatticeSpec, build_tables
 from .oracle import oracle_full_dos
 from .thermo import ThermoPoint, partition_point, thermo_sweep

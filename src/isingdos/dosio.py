@@ -15,7 +15,7 @@ carries the same header fields plus a "cells" list of [count, M, E] rows.
 
 import json
 
-from .enumeration import DoSHistogram
+from .histogram import DoSHistogram
 from .lattice import LatticeSpec
 
 FORMAT_VERSION = 1

@@ -1,4 +1,4 @@
-"""Exhaustive sharded walk of the configuration space and the g(M, E) histogram.
+"""Exhaustive sharded walk of the configuration space into the g(M, E) histogram.
 
 The 2^N indices split into contiguous, near-equal `range` shards, each walked
 in aligned blocks of 2^k indices H*2^k + L.  The anti-aligned bond masks of
@@ -12,15 +12,20 @@ rest shift it.  Blocks whose bases agree on those bits form a boundary class
 matrix), and each chunk of bases bins each of its classes once.  Counts are
 exact integers and `merge` adds the shard tables elementwise, so the total is
 bit-identical for any shard count or merge order.  With several workers, each
-shard runs in a forked process of its own that pipes its table back."""
+shard runs in a forked process of its own that pipes back one message: its
+walk's seconds as a float64, then its bare int64 table in C order, which the
+caller rebuilds against its own spec.  Only a failed walk's exception and
+traceback are pickled."""
 
 import os
 import pickle
+import struct
 import time
 from collections import Counter
 
 import numpy as np
 
+from .histogram import DoSHistogram
 from .lattice import LatticeSpec
 
 # Blocks of 2^12 indices keep the table and each step's temporaries in L2.
@@ -49,97 +54,6 @@ def make_shards(spec: LatticeSpec, num_shards: int) -> list[range]:
     base, extra = divmod(total, num_shards)
     cuts = [i * base + min(i, extra) for i in range(num_shards + 1)]
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-
-
-class DoSHistogram:
-    """Exact density of states g(M, E) on a dense (N+1) x (B+1) grid.
-
-    Row m_idx = (M + N)/2 counts configurations with spin excess M; column
-    e_idx holds exchange energy E = |J| * (2*e_idx - B).  Counts are int64,
-    exact up to the 2^40 configuration cap.  Cells whose (M, E) parity is
-    unreachable are structurally zero.
-    """
-
-    def __init__(self, spec: LatticeSpec, counts: np.ndarray | None = None):
-        n, b = spec.num_spins, spec.num_bonds
-        if counts is None:
-            counts = np.zeros((n + 1, b + 1), dtype=np.int64)
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (n + 1, b + 1):
-                raise ValueError(
-                    f"counts shape {counts.shape} != {(n + 1, b + 1)}"
-                )
-        self.spec = spec
-        self.counts = counts
-
-    # -- index mapping ----------------------------------------------------
-
-    @property
-    def energy_scale(self):
-        """|J|: spacing of the energy grid in physical units."""
-        return abs(self.spec.coupling)
-
-    def m_index(self, m: int) -> int:
-        """Row of spin excess m; m must have the parity of N."""
-        n = self.spec.num_spins
-        if (m + n) % 2 or not -n <= m <= n:
-            raise ValueError(f"spin excess {m} invalid for N={n}")
-        return (m + n) // 2
-
-    def e_index(self, energy) -> int:
-        """Column of exchange energy; energy must sit on the |J| grid."""
-        b = self.spec.num_bonds
-        scale = self.energy_scale
-        try:
-            unit = energy if scale == 1 else energy / scale
-            iu = int(round(unit))
-        except (OverflowError, ValueError):  # inf, nan, or past float range
-            raise ValueError(f"energy {energy} is not a finite number") from None
-        if abs(unit - iu) > 1e-9 or (iu + b) % 2 or not -b <= iu <= b:
-            raise ValueError(
-                f"energy {energy} not on the even grid within [-{b}, {b}] "
-                f"(units of |J|={scale})"
-            )
-        return (iu + b) // 2
-
-    def m_value(self, m_idx: int) -> int:
-        return 2 * m_idx - self.spec.num_spins
-
-    def e_value(self, e_idx: int):
-        unit = 2 * e_idx - self.spec.num_bonds
-        scale = self.energy_scale
-        return unit if scale == 1 else scale * unit
-
-    # -- queries -----------------------------------------------------------
-
-    def total(self) -> int:
-        """Sum of all counts; 2^N for a complete enumeration."""
-        return int(self.counts.sum())
-
-    def count(self, m: int, energy) -> int:
-        """g(M, E) for one cell; off-grid (M, E) count zero configurations."""
-        try:
-            return int(self.counts[self.m_index(m), self.e_index(energy)])
-        except ValueError:
-            return 0
-
-    def cells(self) -> list[tuple[int, int, int]]:
-        """Nonzero (count, M, E) triples, sorted by M descending then E ascending."""
-        out = []
-        for m_idx in range(self.counts.shape[0] - 1, -1, -1):
-            row = self.counts[m_idx]
-            for e_idx in np.nonzero(row)[0]:
-                out.append((int(row[e_idx]), self.m_value(m_idx),
-                            self.e_value(int(e_idx))))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, DoSHistogram):
-            return NotImplemented
-        return self.spec == other.spec and np.array_equal(self.counts, other.counts)
-
-    __hash__ = None
 
 
 # -- the vectorized walk ----------------------------------------------------
@@ -263,21 +177,25 @@ class RemoteTraceback(Exception):
 
 
 def _shard_worker(spec, shard, conn):
-    # Runs in the shard's own process.  Replies (histogram, its own
-    # interval), or if the walk raised, (the pickled exception, or None if
-    # it does not pickle, and its formatted traceback).
+    # Runs in the shard's own process.  Replies with one message: the walk's
+    # seconds as a float64, then its table's int64 counts in C order.  No
+    # other numpy call: a forked worker pays RSS for each code path it is
+    # first to touch, ~0.4 MB to pickle a histogram.  If the walk raised, an
+    # empty message, then (the pickled exception, or None if it does not
+    # pickle, and its formatted traceback).
     try:
         t0 = time.perf_counter()
-        hist = enumerate_shard(spec, shard)
-        reply = hist, time.perf_counter() - t0
+        counts = enumerate_shard(spec, shard).counts
+        conn.send_bytes(struct.pack("d", time.perf_counter() - t0)
+                        + counts.tobytes())
     except Exception as exc:
         import traceback  # only a failed walk needs it
         try:
             pickled = pickle.dumps(exc)
         except Exception:
             pickled = None
-        reply = pickled, traceback.format_exc()
-    conn.send(reply)
+        conn.send_bytes(b"")
+        conn.send((pickled, traceback.format_exc()))
     conn.close()
 
 
@@ -286,8 +204,8 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
 
     With more than one worker, each shard runs in its own process, started
     for this call.  An exception in a worker is raised here, its traceback
-    chained as a RemoteTraceback; a worker that exits without replying
-    raises RuntimeError.
+    chained as a RemoteTraceback; a worker that exits without replying, or
+    replies with a table of the wrong size, raises RuntimeError.
 
     Returns:
         (histogram, wall_seconds, per_worker_seconds) where the per-worker
@@ -332,11 +250,14 @@ def _run_shards(spec, shards):
                 # ends the pipe.
                 send.close()
             pending[recv] = i, proc
+        shape = spec.num_spins + 1, spec.num_bonds + 1
+        size = 8 + 8 * shape[0] * shape[1]
         results = [None] * len(shards)
         while pending:
             for recv in wait(list(pending)):
                 try:
-                    reply = recv.recv()
+                    reply = recv.recv_bytes()
+                    failure = None if reply else recv.recv()
                 except EOFError:
                     reply = None
                 i, proc = pending.pop(recv)
@@ -345,15 +266,21 @@ def _run_shards(spec, shards):
                 if reply is None:
                     raise RuntimeError(f"shard worker {i} exited with code "
                                        f"{proc.exitcode} without a result")
-                value, detail = reply
-                if isinstance(detail, str):  # the walk raised
+                if failure is not None:  # the walk raised
+                    pickled, detail = failure
                     try:
-                        exc = pickle.loads(value)
+                        exc = pickle.loads(pickled)
                     except Exception:
                         exc = RuntimeError(f"shard worker {i} raised an "
                                            f"exception that cannot be rebuilt")
                     raise exc from RemoteTraceback(detail)
-                results[i] = reply
+                if len(reply) != size:
+                    raise RuntimeError(f"shard worker {i} replied {len(reply)} "
+                                       f"bytes, not the {size} of a {shape} "
+                                       f"table")
+                (seconds,) = struct.unpack_from("d", reply)
+                counts = np.frombuffer(reply, np.int64, offset=8).reshape(shape)
+                results[i] = DoSHistogram(spec, counts), seconds
         return results
     finally:
         for recv, (_, proc) in pending.items():

@@ -2,7 +2,8 @@
 
 Nothing here touches the split-index kernel or its axis masks.  One
 definition gives a configuration's (M, E): `decode_spins` site by site, then
-`oracle_magnetization` and `oracle_energy` spin by spin and bond by bond.
+`oracle_magnetization` and `oracle_energy` spin by spin and bond by bond (the
+full walk runs the same cores, with the spec's lookups fetched once).
 Per-index checks, the full DoS and brute-force Z all run it, so agreement
 with the fast engine is evidence, not tautology.  Slow; capped at 24 spins.
 """
@@ -11,7 +12,7 @@ import collections
 import functools
 import math
 
-from .enumeration import DoSHistogram
+from .histogram import DoSHistogram
 from .lattice import LatticeSpec
 
 #: Full enumeration with per-site Python loops stays tolerable up to here.
@@ -37,7 +38,11 @@ def decode_spins(spec: LatticeSpec, index: int) -> list[int]:
     """Decode a configuration index into +/-1 spins, one per (row, col, layer)."""
     if not 0 <= index < spec.num_configs:
         raise ValueError(f"index {index} outside [0, 2^{spec.num_spins})")
-    return [1 if (index >> p) & 1 else -1 for p in _bit_positions(spec)]
+    return _spins(_bit_positions(spec), index)
+
+
+def _spins(positions, index):
+    return [1 if (index >> p) & 1 else -1 for p in positions]
 
 
 @functools.lru_cache(maxsize=64)
@@ -61,7 +66,11 @@ def bond_pairs(spec: LatticeSpec) -> tuple[tuple[int, int], ...]:
 
 def oracle_energy(spins, spec: LatticeSpec):
     """E = -J * sum over bonds of S_i * S_j, each bond counted once."""
-    return -spec.coupling * sum(spins[i] * spins[j] for i, j in bond_pairs(spec))
+    return _energy(spins, spec.coupling, bond_pairs(spec))
+
+
+def _energy(spins, coupling, pairs):
+    return -coupling * sum(spins[i] * spins[j] for i, j in pairs)
 
 
 def oracle_magnetization(spins) -> int:
@@ -76,9 +85,11 @@ def _walk(spec: LatticeSpec):
         raise ValueError(
             f"{n} spins exceeds the oracle cap of {ORACLE_MAX_SPINS}"
         )
+    # The spec's lookups, once per walk rather than once per configuration.
+    positions, pairs = _bit_positions(spec), bond_pairs(spec)
     for index in range(spec.num_configs):
-        spins = decode_spins(spec, index)
-        yield oracle_magnetization(spins), oracle_energy(spins, spec)
+        spins = _spins(positions, index)
+        yield oracle_magnetization(spins), _energy(spins, spec.coupling, pairs)
 
 
 def oracle_full_dos(spec: LatticeSpec) -> DoSHistogram:

@@ -11,7 +11,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .enumeration import DoSHistogram
+from .histogram import DoSHistogram
 
 
 @dataclass(frozen=True)

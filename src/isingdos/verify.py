@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import DoSHistogram
+from .histogram import DoSHistogram
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import functools
+import multiprocessing
 
 import pytest
 
@@ -34,6 +35,17 @@ def oracle_cell(spec, index):
 
 #: Every per-configuration invariant runs on both independent engines.
 ENGINES = {"kernel": kernel_cell, "oracle": oracle_cell}
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_alive():
+    """Fail any test that leaves a shard worker (or other child) running."""
+    yield
+    alive = multiprocessing.active_children()
+    for proc in alive:  # so that the next test starts clean
+        proc.terminate()
+        proc.join()
+    assert alive == [], f"{alive} outlived the test"
 
 
 @pytest.fixture(scope="session")

@@ -410,3 +410,36 @@ def test_worker_that_dies_silently_raises(monkeypatch, spec4x4, deadline):
     with pytest.raises(RuntimeError, match="shard worker 1 exited with code 3"):
         full_dos(spec4x4, workers=2)
     assert multiprocessing.active_children() == []
+
+
+@forked
+def test_table_cells_past_int32_come_back_exact(monkeypatch, spec4x4, dos4x4,
+                                                deadline):
+    real = enumeration.enumerate_shard
+
+    def walk(spec, shard):
+        hist = real(spec, shard)
+        if shard.start:
+            hist.counts[0, 0] += 2**40 + 1
+        return hist
+    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
+    expected = dos4x4.counts.copy()
+    expected[0, 0] += 2**40 + 1
+    assert np.array_equal(full_dos(spec4x4, workers=2).counts, expected)
+    assert multiprocessing.active_children() == []
+
+
+@forked
+def test_reply_of_the_wrong_length_raises(monkeypatch, spec4x4, deadline):
+    real = enumeration._shard_worker
+
+    def worker(spec, shard, conn):
+        if shard.start:
+            conn.send_bytes(bytes(16))
+            conn.close()
+        else:
+            real(spec, shard, conn)
+    monkeypatch.setattr(enumeration, "_shard_worker", worker)
+    with pytest.raises(RuntimeError, match="shard worker 1 replied 16 bytes"):
+        full_dos(spec4x4, workers=2)
+    assert multiprocessing.active_children() == []

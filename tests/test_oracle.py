@@ -111,14 +111,17 @@ def test_brute_force_log_z_rejects_bad_temperature():
 def test_oracle_shares_no_code_with_the_fast_engine():
     # The oracle's agreement is evidence only while it stays independent.
     tree = ast.parse(Path(oracle_mod.__file__).read_text(encoding="utf-8"))
-    imported = set()
+    imported, modules = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             assert all(a.name.split(".")[0] != "isingdos" for a in node.names)
         elif isinstance(node, ast.ImportFrom) and (
                 node.level or node.module.split(".")[0] == "isingdos"):
             imported |= {alias.name for alias in node.names}
+            modules.add(node.module.split(".")[-1])
     assert imported == {"LatticeSpec", "DoSHistogram"}
+    # Not even the fast walk's module is loaded through the oracle.
+    assert modules == {"histogram", "lattice"}
     fast_path = {"axis_rotations", "bond_words", "bond_support",
                  "enumerate_shard", "full_dos", "make_shards", "merge"}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
