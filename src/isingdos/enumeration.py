@@ -58,15 +58,12 @@ def make_shards(spec: LatticeSpec, num_shards: int) -> list[range]:
 
 # -- the vectorized walk ----------------------------------------------------
 
-def enumerate_shard(spec: LatticeSpec, shard: range,
-                    block_bits: int = BLOCK_BITS) -> DoSHistogram:
+def enumerate_shard(spec: LatticeSpec, shard: range) -> DoSHistogram:
     """Classify every configuration index in the shard's range into g(M, E).
 
     Args:
         spec:   lattice geometry and coupling.
         shard:  range of configuration indices to walk, step 1.
-        block_bits: log2 of the aligned block of indices that shares one
-                table of low-index bond words (clamped to N).
 
     Returns:
         Partial histogram counting exactly the shard's configurations.
@@ -76,7 +73,7 @@ def enumerate_shard(spec: LatticeSpec, shard: range,
         raise ValueError(f"shard {shard} invalid for 2^{spec.num_spins} "
                          f"configurations")
     n, b = spec.num_spins, spec.num_bonds
-    k = min(block_bits, n)
+    k = min(BLOCK_BITS, n)
     size = 1 << k
     # Index H*2^k + L: the bond words of L come from the table, those of the
     # base H*2^k are scalars XORed into it, and the up spins of both add.
@@ -100,8 +97,8 @@ def enumerate_shard(spec: LatticeSpec, shard: range,
 
     # Partial blocks at the shard's cuts, each on its own.
     first, stop = -(-start >> k), end >> k  # heads of the whole blocks
-    for piece in ([range(start, end)] if first > stop else
-                  [range(start, first << k), range(stop << k, end)]):
+    for piece in (range(start, min(end, first << k)),
+                  range(max(first, stop) << k, end)):
         if piece:
             base = piece.start >> k << k
             words = sum(word << 64 * i
@@ -215,8 +212,8 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
         # Auto mode walks a lattice of at most one block serially.
         workers = (available_parallelism()
                    if spec.num_configs > 1 << BLOCK_BITS else 1)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= spec.num_configs:
+        raise ValueError(f"workers must be in [1, 2^{spec.num_spins}], got {workers}")
     shards = make_shards(spec, workers)
     t0 = time.perf_counter()
     if workers == 1:
@@ -240,16 +237,10 @@ def _run_shards(spec, shards):
             recv, send = Pipe(duplex=False)
             proc = Process(target=_shard_worker, args=(spec, shard, send),
                            daemon=True)
-            try:
-                proc.start()
-            except BaseException:
-                recv.close()
-                raise
-            finally:
-                # Only the worker may hold the sending end, so its exit
-                # ends the pipe.
-                send.close()
             pending[recv] = i, proc
+            # Only the worker holds the sending end, so its exit ends the pipe.
+            with send:
+                proc.start()
         shape = spec.num_spins + 1, spec.num_bonds + 1
         size = 8 + 8 * shape[0] * shape[1]
         results = [None] * len(shards)
@@ -285,8 +276,9 @@ def _run_shards(spec, shards):
     finally:
         for recv, (_, proc) in pending.items():
             recv.close()
-            proc.terminate()
-            proc.join()
+            if proc.pid is not None:  # started
+                proc.terminate()
+                proc.join()
 
 
 def full_dos(spec: LatticeSpec, workers: int | None = None) -> DoSHistogram:

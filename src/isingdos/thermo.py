@@ -91,8 +91,11 @@ def thermo_sweep(dos: DoSHistogram, h: float, temps) -> list[ThermoPoint]:
             u = float(p @ energy)
             mean_m = float(p @ m)
             # Central moments keep the variances nonnegative; dividing by T before
-            # squaring spares C an overflow.  Underflowed weights add 0, not 0*inf.
-            heat = p @ np.where(p > 0, ((energy - u) / temperature) ** 2, 0.0)
+            # squaring (and before subtracting, where E - U overflows) spares C an
+            # overflow.  Underflowed weights add 0, not 0*inf.
+            dev = (energy - u) / temperature
+            dev = np.where(np.isfinite(dev), dev, energy / temperature - u / temperature)
+            heat = p @ np.where(p > 0, dev ** 2, 0.0)
             var_m = p @ (m - mean_m) ** 2
             point = ThermoPoint(
                 field=h,

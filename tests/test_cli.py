@@ -1,6 +1,8 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from isingdos import DoSHistogram, LatticeSpec, format_dos_csv, full_dos, parse_
 from isingdos.cli import main
 
 from conftest import DOS_2X2_CELLS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -84,6 +88,15 @@ def test_dos_rejects_zero_workers():
         run_cli("dos", "--rows", "2", "--cols", "2", "--workers", "0",
                 "--out", "-")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["dos", "bench"])
+def test_more_workers_than_configurations_is_validation_error(command, capsys):
+    argv = ["--out", "-"] if command == "dos" else []
+    assert run_cli(command, "--rows", "2", "--cols", "2", "--workers", "17",
+                   *argv) == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first == "error: validation: workers must be in [1, 2^4], got 17"
 
 
 # -- verify -----------------------------------------------------------------------
@@ -329,21 +342,26 @@ def test_unknown_command_is_usage_error():
 
 # -- installed entry point -----------------------------------------------------------
 
+def _run_module(*argv):
+    # The checkout's sources come first, also when the package is not
+    # installed.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "isingdos.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_console_script_round_trip(tmp_path):
     out = tmp_path / "dos.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "isingdos.cli", "dos", "--rows", "2", "--cols", "3",
-         "--workers", "1", "--out", str(out)],
-        capture_output=True, text=True)
+    proc = _run_module("dos", "--rows", "2", "--cols", "3", "--workers", "1",
+                       "--out", str(out))
     assert proc.returncode == 0
-    proc = subprocess.run(
-        [sys.executable, "-m", "isingdos.cli", "verify", str(out)],
-        capture_output=True, text=True)
+    proc = _run_module("verify", str(out))
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 4
 
 
 def test_console_script_usage_error():
-    proc = subprocess.run([sys.executable, "-m", "isingdos.cli"],
-                          capture_output=True, text=True)
+    proc = _run_module()
     assert proc.returncode == 2

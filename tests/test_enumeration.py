@@ -117,26 +117,37 @@ def test_enumerate_tall_columns_without_tables():
 
 
 # 5x8 packs its two 40-bit axis masks into two words and has index bits
-# above 32; 2x2x6 packs three 24-bit masks into two words, with J = -1.
+# above 32; 2x2x6 packs three 24-bit masks into two words, with J = -1.  So
+# both key their boundary classes on more than one word.
 @pytest.mark.parametrize("dims,coupling", [((5, 8, 1), 1), ((2, 2, 6), -1)])
-@pytest.mark.parametrize("block_bits", [3, BLOCK_BITS])
-def test_enumerate_top_slice_matches_oracle(dims, coupling, block_bits):
+@pytest.mark.parametrize("block_bits", [0, 1, 3, BLOCK_BITS])
+def test_enumerate_top_slice_matches_oracle(monkeypatch, dims, coupling,
+                                            block_bits):
     # 4096 indices near the top of the index space, straddling the block
-    # boundary 5 default blocks below 2^N (and many more of 2^3).
+    # boundary 5 default blocks below 2^N (and many more smaller blocks).
     spec = LatticeSpec(*dims, coupling=coupling)
     start = spec.num_configs - 5 * (1 << BLOCK_BITS) - 2000
     shard = range(start, start + 4096)
-    dos = enumerate_shard(spec, shard, block_bits=block_bits)
+    monkeypatch.setattr(enumeration, "BLOCK_BITS", block_bits)
+    dos = enumerate_shard(spec, shard)
     assert dos.total() == 4096
     assert dos == _oracle_slice(spec, shard)
+    # Cut 3 indices past a block boundary inside the slice: the pieces
+    # still add up to the same histogram.
+    size = 1 << block_bits
+    cut = (start + 2048) // size * size + 3
+    head = enumerate_shard(spec, range(start, cut))
+    tail = enumerate_shard(spec, range(cut, shard.stop))
+    assert merge([head, tail]) == dos
 
 
-def test_enumerate_block_bits_is_invisible():
+def test_enumerate_block_bits_is_invisible(monkeypatch):
     spec = LatticeSpec(3, 4)
     shard = make_shards(spec, 1)[0]
     reference = enumerate_shard(spec, shard)
     for block_bits in (0, 1, 3, spec.num_spins, spec.num_spins + 8):
-        assert enumerate_shard(spec, shard, block_bits=block_bits) == reference
+        monkeypatch.setattr(enumeration, "BLOCK_BITS", block_bits)
+        assert enumerate_shard(spec, shard) == reference
 
 
 # Every boundary shape the axis rotations handle: a length-2 axis on each
@@ -146,21 +157,22 @@ def test_enumerate_block_bits_is_invisible():
     ((3, 2, 2), 1), ((2, 3, 2), 1), ((2, 2, 3), 1), ((3, 4, 1), 1),
     ((2, 3, 3), 1), ((3, 4, 1), -1), ((2, 2, 3), -1),
 ])
-def test_enumerate_full_range_matches_oracle(dims, coupling, oracle_dos):
+def test_enumerate_full_range_matches_oracle(monkeypatch, dims, coupling,
+                                             oracle_dos):
     spec = LatticeSpec(*dims, coupling=coupling)
     whole = make_shards(spec, 1)[0]
     expected = oracle_dos(spec)
     n = spec.num_spins
     for bits in (0, 1, 3, n, n + 1):
-        dos = enumerate_shard(spec, whole, block_bits=bits)
+        monkeypatch.setattr(enumeration, "BLOCK_BITS", bits)
+        dos = enumerate_shard(spec, whole)
         assert dos == expected
         # A shard that starts 3 indices past a block boundary: the pieces
         # still add up to the same histogram.
         size = 1 << min(bits, n)
         cut = spec.num_configs // 2 // size * size + 3
-        head = enumerate_shard(spec, range(0, cut), block_bits=bits)
-        tail = enumerate_shard(spec, range(cut, spec.num_configs),
-                               block_bits=bits)
+        head = enumerate_shard(spec, range(0, cut))
+        tail = enumerate_shard(spec, range(cut, spec.num_configs))
         assert merge([head, tail]) == dos
 
 
@@ -323,6 +335,8 @@ def test_auto_workers_walk_one_block_serially(monkeypatch, dims):
 def test_full_dos_rejects_bad_workers(spec4x4):
     with pytest.raises(ValueError):
         full_dos(spec4x4, workers=0)
+    with pytest.raises(ValueError, match=r"workers must be in \[1, 2\^16\]"):
+        full_dos(spec4x4, workers=2 ** 16 + 1)
 
 
 @pytest.fixture

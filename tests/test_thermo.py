@@ -147,7 +147,8 @@ def test_rejects_observables_past_float_range(coupling, h, t):
 # Deviations from U whose squares overflow.  At T = 1 only the ground cells
 # carry weight; every other cell's weight underflows to 0 and must add 0 to C
 # (exact).  With h or J as large as T, C is of order 1 or below, and the
-# deviations must reach it scaled by T, not squared first (closed form).
+# deviations must reach it scaled by T, not squared first (closed form); at
+# J = T = 2e307 they must be scaled before E - U overflows.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("coupling,h,t,energy,heat,magnetization,rel", [
     (1, 1e200, 1.0, -4e200, 0.0, 4.0, 0),
@@ -156,8 +157,11 @@ def test_rejects_observables_past_float_range(coupling, h, t):
      3.0463766238230594, 1e-12),
     (1, 1e200, 1e300, 0.0, 4e-200, 0.0, 1e-12),
     (1e300, 0.0, 1e300, -7.98392834374676e300, 0.12832932745715867, 0.0, 1e-12),
+    (2e307, 0.0, 2e307, 2e307 * -7.98392834374676, 0.12832932745715867, 0.0,
+     1e-12),
 ], ids=["huge-field", "huge-coupling", "field-as-large-as-t",
-        "field-spread-past-float-range", "coupling-as-large-as-t"])
+        "field-spread-past-float-range", "coupling-as-large-as-t",
+        "deviation-past-float-range"])
 def test_far_cells_add_nothing_to_the_variance(coupling, h, t, energy, heat,
                                                magnetization, rel):
     dos = full_dos(LatticeSpec(2, 2, coupling=coupling), workers=1)
