@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Enumerate the exact density of states g(M, E) of a small Ising lattice.
 
-Walks all 2^N spin configurations of a periodic 4x4 lattice through the
-bit-word kernels, prints the resulting table grouped by spin excess, and
+Walks all 2^N spin configurations of a periodic 4x4 lattice with the
+split-index walk, prints the resulting table grouped by spin excess, and
 runs the built-in consistency checks (total count, binomial marginals,
 +-M symmetry, energy grid).
 """

@@ -2,7 +2,7 @@
 """Cross-validate the bit-kernel engine against a deliberately naive oracle.
 
 The oracle decodes every configuration into an explicit +-1 spin array and
-sums bonds one by one; it shares no code with the bit-word kernels.  On
+sums bonds one by one; it shares no code with the split-index walk.  On
 lattices small enough to brute-force, both engines must agree cell for
 cell -- in 2D, in 3D, and for antiferromagnetic coupling.
 """

@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_lattice_args(p):
         p.add_argument("--rows", type=int, required=True,
-                       help="column height (spins per bit-word)")
+                       help="column height (spins per lattice column)")
         p.add_argument("--cols", type=int, required=True, help="number of columns")
         p.add_argument("--depth", type=int, default=1,
                        help="layers; 1 for 2D (default), >=2 for 3D")

@@ -6,15 +6,16 @@ the 2^k low parts L (per periodic axis, the index XOR its masked rotation,
 packed into uint64 words) are tabulated once per shard; the masks are linear
 over GF(2), so a block XORs its base's words into the table, takes one vector
 popcount per word and bins (spin excess, exchange energy) with one bincount.
-Only the base's bond bits that touch a low site change that histogram; the
-rest shift it.  Blocks whose bases agree on those bits form a boundary class
-(multi-spin coding, Jacobs & Rebbi 1981, cut once like Beale's 1996 transfer
-matrix), and each chunk of bases bins each of its classes once.  Counts are
-exact integers and `merge` adds the shard tables elementwise, so the total is
-bit-identical for any shard count or merge order.  With several workers, each
-shard runs in a forked process of its own that pipes back one message: its
-walk's seconds as a float64, then its bare int64 table in C order, which the
-caller rebuilds against its own spec.  Only a failed walk's exception and
+Only the base's bonds that cross the block's boundary change that histogram;
+the rest shift it.  Blocks whose bases agree on those bonds form a boundary
+class (multi-spin coding, Jacobs & Rebbi 1981, cut once like Beale's 1996
+transfer matrix), and each chunk of bases bins each of its classes once.
+Counts are exact integers and `merge` adds the shard tables elementwise, so
+the total is bit-identical for any shard count or merge order.  With several
+workers, each shard runs in a forked process of its own, at most one per
+usable CPU alive at a time, that pipes back one message: its walk's seconds
+as a float64, then its bare int64 table in C order, which the caller
+rebuilds against its own spec.  Only a failed walk's exception and
 traceback are pickled."""
 
 import os
@@ -22,6 +23,7 @@ import pickle
 import struct
 import time
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 
@@ -106,12 +108,14 @@ def enumerate_shard(spec: LatticeSpec, shard: range) -> DoSHistogram:
             add(block_counts(words, piece.start - base, piece.stop - base),
                 base.bit_count() * (b + 1))
 
-    # Whole blocks.  The table's words lie inside the support R, the bond
-    # bits that touch a low site, so popcount(t ^ s) = popcount(t ^ (s & R))
-    # + popcount(s & ~R): a block's histogram is that of its class s & R,
-    # shifted by popcount(s & ~R) anti-aligned bonds.  Each chunk of bases
-    # bins each of its classes once.
-    support = [np.uint64(r) for r in spec.bond_support(size - 1)]
+    # Whole blocks.  A base's words s are zero on the bonds inside the block
+    # and the table's words t on the bonds with no end in it, so only the
+    # bonds R that cross the block's boundary, by linearity the words of the
+    # block mask, separate class from shift: popcount(t ^ s) =
+    # popcount(t ^ (s & R)) + popcount(s & ~R).  A block's histogram is that
+    # of its class s & R, shifted by popcount(s & ~R) anti-aligned bonds.
+    # Each chunk of bases bins each of its classes once.
+    support = [np.uint64(r) for r in spec.bond_words(size - 1)]
     for head in range(first, stop, BASE_CHUNK):
         bases = (np.arange(head, min(head + BASE_CHUNK, stop), dtype=np.uint64)
                  << np.uint64(k))
@@ -200,9 +204,11 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     """Complete density of states plus timing.
 
     With more than one worker, each shard runs in its own process, started
-    for this call.  An exception in a worker is raised here, its traceback
-    chained as a RemoteTraceback; a worker that exits without replying, or
-    replies with a table of the wrong size, raises RuntimeError.
+    for this call; at most available_parallelism() run at a time, however
+    many shards `workers` asks for.  An exception in a worker is raised
+    here, its traceback chained as a RemoteTraceback; a worker that exits
+    without replying, or replies with a table of the wrong size, raises
+    RuntimeError.
 
     Returns:
         (histogram, wall_seconds, per_worker_seconds) where the per-worker
@@ -226,25 +232,31 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
 
 
 def _run_shards(spec, shards):
-    """(histogram, seconds) of each shard, each walked in a process of its own."""
+    """(histogram, seconds) of each shard, each walked in a process of its own.
+
+    At most available_parallelism() workers are alive at a time; the next
+    shard starts when a worker's reply has been read and the worker joined.
+    """
     # Imported here: a serial walk never loads multiprocessing (~0.5 MB).
     from multiprocessing import Pipe, Process
     from multiprocessing.connection import wait
 
-    pending = {}
+    shape = spec.num_spins + 1, spec.num_bonds + 1
+    size = 8 + 8 * shape[0] * shape[1]
+    results = [None] * len(shards)
+    slots, todo, pending = available_parallelism(), iter(enumerate(shards)), {}
     try:
-        for i, shard in enumerate(shards):
-            recv, send = Pipe(duplex=False)
-            proc = Process(target=_shard_worker, args=(spec, shard, send),
-                           daemon=True)
-            pending[recv] = i, proc
-            # Only the worker holds the sending end, so its exit ends the pipe.
-            with send:
-                proc.start()
-        shape = spec.num_spins + 1, spec.num_bonds + 1
-        size = 8 + 8 * shape[0] * shape[1]
-        results = [None] * len(shards)
-        while pending:
+        while True:
+            for i, shard in islice(todo, slots - len(pending)):
+                recv, send = Pipe(duplex=False)
+                proc = Process(target=_shard_worker, args=(spec, shard, send),
+                               daemon=True)
+                pending[recv] = i, proc
+                # Only the worker holds the sending end, so its exit ends the pipe.
+                with send:
+                    proc.start()
+            if not pending:
+                return results
             for recv in wait(list(pending)):
                 try:
                     reply = recv.recv_bytes()
@@ -272,7 +284,6 @@ def _run_shards(spec, shards):
                 (seconds,) = struct.unpack_from("d", reply)
                 counts = np.frombuffer(reply, np.int64, offset=8).reshape(shape)
                 results[i] = DoSHistogram(spec, counts), seconds
-        return results
     finally:
         for recv, (_, proc) in pending.items():
             recv.close()

@@ -7,8 +7,9 @@ bit value 1 means spin up (S = +1), 0 means spin down (S = -1).
 
 Each periodic axis is a masked rotation of the whole index
 (`LatticeSpec.axis_rotations`); XORed with the index it marks the axis's
-anti-aligned bonds, packed into uint64 words for the split-index walk by
-`LatticeSpec.bond_words`.
+anti-aligned bonds, packed into uint64 words by `LatticeSpec.bond_words`,
+the one bit-layout function of the walk: its table of low parts, its block
+bases and the bonds that cross a block's boundary all come from it.
 
 Specs are immutable, so they can be shared freely across worker processes.
 """
@@ -33,7 +34,7 @@ TABLE_ROWS_CAP = 16
 class LatticeSpec:
     """Geometry and coupling of a periodic Ising lattice.
 
-    rows:     column height n (spins per bit-word), >= 2
+    rows:     column height n (spins per lattice column), >= 2
     cols:     number of columns, >= 2
     depth:    number of layers; 1 for 2D, >= 2 for 3D
     coupling: uniform exchange constant J (default +1; negative for
@@ -124,26 +125,10 @@ class LatticeSpec:
         map is linear over GF(2): for H and L with disjoint bits, the words
         of H | L are the words of H XOR the words of L.
         """
-        return self._pack([moved ^ x for moved in self._moved(x)])
-
-    def bond_support(self, low: int) -> list[int]:
-        """Bond bits that touch a site of the mask `low`, packed like bond_words.
-
-        Per axis that is low | (low moved one step): the union of the words
-        of every index whose set bits lie in `low`.
-        """
-        return self._pack([moved | low for moved in self._moved(low)])
-
-    def _moved(self, x):
-        # x with every spin moved one step along each periodic axis in turn.
-        for shift, keep, back, wrap in self.axis_rotations:
-            yield (x << shift) & keep | (x >> back) & wrap
-
-    def _pack(self, masks):
-        # Per-axis N-bit masks, as many to a 64-bit word as fit.
         n = self.num_spins
         per_word, words = 64 // n, []
-        for i, mask in enumerate(masks):
+        for i, (shift, keep, back, wrap) in enumerate(self.axis_rotations):
+            mask = ((x << shift) & keep | (x >> back) & wrap) ^ x
             if i % per_word:
                 words[-1] |= mask << n * (i % per_word)
             else:

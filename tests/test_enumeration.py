@@ -1,6 +1,10 @@
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from isingdos import enumeration
 from isingdos.enumeration import BLOCK_BITS
 
 from conftest import DOS_2X2_CELLS, oracle_cell
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- sharding -----------------------------------------------------------------
@@ -148,6 +154,20 @@ def test_enumerate_block_bits_is_invisible(monkeypatch):
     for block_bits in (0, 1, 3, spec.num_spins, spec.num_spins + 8):
         monkeypatch.setattr(enumeration, "BLOCK_BITS", block_bits)
         assert enumerate_shard(spec, shard) == reference
+
+
+def test_whole_walk_bins_each_boundary_class_once(monkeypatch):
+    # 5x5 at 2^12-index blocks: the 2^13 bases fall in 2^10 classes, each
+    # binned once in its 256-base chunk.
+    real, calls = np.bincount, []
+
+    def bincount(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np, "bincount", bincount)
+    spec = LatticeSpec(5, 5)
+    enumerate_shard(spec, make_shards(spec, 1)[0])
+    assert len(calls) == 1024
 
 
 # Every boundary shape the axis rotations handle: a length-2 axis on each
@@ -457,3 +477,38 @@ def test_reply_of_the_wrong_length_raises(monkeypatch, spec4x4, deadline):
     with pytest.raises(RuntimeError, match="shard worker 1 replied 16 bytes"):
         full_dos(spec4x4, workers=2)
     assert multiprocessing.active_children() == []
+
+
+@forked
+def test_live_workers_never_exceed_usable_cpus(monkeypatch, spec4x4, dos4x4,
+                                               deadline):
+    # Five shards on two slots: each start finds at most one other worker.
+    real_worker, real_start = enumeration._shard_worker, multiprocessing.Process.start
+    others = []
+
+    def worker(spec, shard, conn):
+        time.sleep(0.2)
+        real_worker(spec, shard, conn)
+
+    def start(proc):
+        others.append(len(multiprocessing.active_children()))
+        real_start(proc)
+    monkeypatch.setattr(enumeration, "available_parallelism", lambda: 2)
+    monkeypatch.setattr(enumeration, "_shard_worker", worker)
+    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    hist, _, per_worker = full_dos_timed(spec4x4, workers=5)
+    assert hist == dos4x4 and len(per_worker) == 5
+    assert len(others) == 5 and max(others) <= 1, others
+
+
+def test_serial_walk_never_imports_multiprocessing():
+    # A serial walk and its check stay clear of the driver's lazy import.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from isingdos import LatticeSpec, full_dos, verify_dos\n"
+            "assert verify_dos(full_dos(LatticeSpec(5, 5), workers=1)).passed\n"
+            "assert 'multiprocessing' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr

@@ -111,15 +111,22 @@ def test_build_tables_rejects_out_of_range(rows):
 
 # Every boundary shape: length-2 axes on each side, 2D and 3D.
 @pytest.mark.parametrize("dims", [(2, 2, 1), (3, 4, 1), (4, 2, 1), (2, 3, 2), (3, 2, 3)])
-def test_bond_support(dims):
-    # The support of a mask is the union of the bond words of its subsets.
+def test_block_boundary_splits_class_from_shift(dims):
+    # For every low part L < 2^k and base H * 2^k, with R the words of the
+    # block mask: popcount(t ^ s) = popcount(t ^ (s & R)) + popcount(s & ~R).
     spec = LatticeSpec(*dims)
-    for low in (1, 0b1010, (1 << spec.num_spins // 2) - 1):
-        union = [0] * len(spec.bond_words(0))
-        for x in range(low + 1):
-            if not x & ~low:
-                union = [u | w for u, w in zip(union, spec.bond_words(x))]
-        assert spec.bond_support(low) == union, low
+    n = spec.num_spins
+    for k in (1, n // 2):
+        table = np.array(spec.bond_words(np.arange(1 << k, dtype=np.uint64)))
+        bases = np.arange(1 << n - k, dtype=np.uint64) << np.uint64(k)
+        scalars = np.array(spec.bond_words(bases))
+        support = np.array(spec.bond_words(np.uint64((1 << k) - 1)))[:, None]
+        t, s = table[:, :, None], scalars[:, None, :]
+        cls, rest = s & support, s & ~support
+        assert np.array_equal(
+            np.bitwise_count(t ^ s).sum(axis=0),
+            np.bitwise_count(t ^ cls).sum(axis=0)
+            + np.bitwise_count(rest).sum(axis=0)), k
 
 
 # -- index layout -------------------------------------------------------------
