@@ -1,22 +1,27 @@
-"""Exhaustive sharded walk of the configuration space into the g(M, E) histogram.
+"""Exhaustive walk of the configuration space into the g(M, E) histogram.
 
-The 2^N indices split into contiguous, near-equal `range` shards, each walked
-in aligned blocks of 2^k indices H*2^k + L.  The anti-aligned bond masks of
-the 2^k low parts L (per periodic axis, the index XOR its masked rotation,
-packed into uint64 words) are tabulated once per shard; the masks are linear
-over GF(2), so a block XORs its base's words into the table, takes one vector
-popcount per word and bins (spin excess, exchange energy) with one bincount.
-Only the base's bonds that cross the block's boundary change that histogram;
-the rest shift it.  Blocks whose bases agree on those bonds form a boundary
-class (multi-spin coding, Jacobs & Rebbi 1981, cut once like Beale's 1996
-transfer matrix), and each chunk of bases bins each of its classes once.
-Counts are exact integers and `merge` adds the shard tables elementwise, so
-the total is bit-identical for any shard count or merge order.  With several
-workers, each shard runs in a forked process of its own, at most one per
-usable CPU alive at a time, that pipes back one message: its walk's seconds
-as a float64, then its bare int64 table in C order, which the caller
-rebuilds against its own spec.  Only a failed walk's exception and
-traceback are pickled."""
+The walk is one aligned top-bit range per symmetry orbit of the top
+column(s) or layer(s), each weighted by its orbit's size
+(`LatticeSpec.top_orbits`); a lattice too small for ranges of 2^18
+configurations walks [0, 2^N) whole.  The ranges, in order, are cut into
+one near-equal shard per worker, and each range is walked in aligned blocks
+of 2^k indices H*2^k + L.  The anti-aligned bond masks of the 2^k low
+parts L (per periodic axis, the index XOR its masked rotation, packed into
+uint64 words) are tabulated once per shard; the masks are linear over
+GF(2), so a block XORs its base's words into the table, takes one vector
+popcount per word and bins (spin excess, exchange energy) with one
+bincount.  Only the base's bonds that cross the block's boundary change
+that histogram; the rest shift it.  Blocks whose bases agree on those bonds
+form a boundary class (multi-spin coding, Jacobs & Rebbi 1981, cut once
+like Beale's 1996 transfer matrix), and each chunk of bases bins each of
+its classes once.  Each range's table is multiplied by its weight once,
+after its walk.  Counts are exact integers and `merge` adds the shard
+tables elementwise, so the total is bit-identical for any shard count or
+merge order.  With several workers, each shard runs in a forked process of
+its own, at most one per usable CPU alive at a time, that pipes back one
+message: its walk's seconds as a float64, then its bare int64 table in C
+order, which the caller rebuilds against its own spec.  Only a failed
+walk's exception and traceback are pickled."""
 
 import os
 import pickle
@@ -58,6 +63,26 @@ def make_shards(spec: LatticeSpec, num_shards: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
+def _deal(walk, workers):
+    """Cut a walk's (range, weight) pairs, in order, into `workers` shards.
+
+    Of the walk's S indices, shard i walks S // workers, plus one for
+    i < S % workers, as make_shards cuts [0, 2^N); each part of a range
+    keeps its weight.
+    """
+    base, extra = divmod(sum(len(r) for r, _ in walk), workers)
+    rest, shards, rng = iter(walk), [], range(0)
+    for i in range(workers):
+        shard, want = [], base + (i < extra)
+        while want:
+            if not rng:
+                rng, weight = next(rest)
+            shard.append((rng[:want], weight))
+            rng, want = rng[want:], want - len(shard[-1][0])
+        shards.append(shard)
+    return shards
+
+
 # -- the vectorized walk ----------------------------------------------------
 
 def enumerate_shard(spec: LatticeSpec, shard: range) -> DoSHistogram:
@@ -70,10 +95,18 @@ def enumerate_shard(spec: LatticeSpec, shard: range) -> DoSHistogram:
     Returns:
         Partial histogram counting exactly the shard's configurations.
     """
-    start, end = shard.start, shard.stop
-    if shard.step != 1 or not 0 <= start <= end <= spec.num_configs:
+    if shard.step != 1 or not 0 <= shard.start <= shard.stop <= spec.num_configs:
         raise ValueError(f"shard {shard} invalid for 2^{spec.num_spins} "
                          f"configurations")
+    return _walk(spec, [(shard, 1)])
+
+
+def _walk(spec, ranges):
+    """g(M, E) of (range, weight) pairs: each range's table times its weight.
+
+    The low table is built once for all ranges, and each range's table is
+    weighted once, after its walk, not at each class it adds.
+    """
     n, b = spec.num_spins, spec.num_bonds
     k = min(BLOCK_BITS, n)
     size = 1 << k
@@ -84,7 +117,7 @@ def enumerate_shard(spec: LatticeSpec, shard: range) -> DoSHistogram:
     table = spec.bond_words(low)
     key_low = np.bitwise_count(low).astype(np.intp) * (b + 1)
     cells = (n + 1) * (b + 1)
-    flat = np.zeros(cells, dtype=np.int64)
+    total = np.zeros(cells, dtype=np.int64)
 
     def block_counts(words, lo=0, hi=size):
         # Histogram of ups*(B+1) + anti over table rows [lo, hi) XOR the
@@ -97,50 +130,54 @@ def enumerate_shard(spec: LatticeSpec, shard: range) -> DoSHistogram:
     def add(counts, shift, times=1):
         flat[shift:shift + counts.size] += counts if times == 1 else times * counts
 
-    # Partial blocks at the shard's cuts, each on its own.
-    first, stop = -(-start >> k), end >> k  # heads of the whole blocks
-    for piece in (range(start, min(end, first << k)),
-                  range(max(first, stop) << k, end)):
-        if piece:
-            base = piece.start >> k << k
-            words = sum(word << 64 * i
-                        for i, word in enumerate(spec.bond_words(base)))
-            add(block_counts(words, piece.start - base, piece.stop - base),
-                base.bit_count() * (b + 1))
-
-    # Whole blocks.  A base's words s are zero on the bonds inside the block
-    # and the table's words t on the bonds with no end in it, so only the
-    # bonds R that cross the block's boundary, by linearity the words of the
-    # block mask, separate class from shift: popcount(t ^ s) =
-    # popcount(t ^ (s & R)) + popcount(s & ~R).  A block's histogram is that
-    # of its class s & R, shifted by popcount(s & ~R) anti-aligned bonds.
-    # Each chunk of bases bins each of its classes once.
+    # The bonds R that cross a block's boundary: the words of the block mask.
     support = [np.uint64(r) for r in spec.bond_words(size - 1)]
-    for head in range(first, stop, BASE_CHUNK):
-        bases = (np.arange(head, min(head + BASE_CHUNK, stop), dtype=np.uint64)
-                 << np.uint64(k))
-        shifts = np.bitwise_count(bases).astype(np.intp) * (b + 1)
-        scalars = spec.bond_words(bases)
-        # A class's key is its words packed like block_counts takes them.
-        keys = None
-        for i, (scalar, r) in enumerate(zip(scalars, support)):
-            cls = scalar & r
-            shifts += np.bitwise_count(scalar ^ cls)
-            words = cls.tolist()
-            keys = words if keys is None else [
-                key | word << 64 * i for key, word in zip(keys, words)]
-        # Blocks per (class, shift), keyed key * cells + shift: sorted, each
-        # class's shifts come together, so one class histogram is alive at
-        # a time.
-        blocks = Counter([key * cells + shift
-                          for key, shift in zip(keys, shifts.tolist())])
-        binned = None
-        for cell in sorted(blocks):
-            key, shift = divmod(cell, cells)
-            if key != binned:
-                binned, counts = key, block_counts(key)
-            add(counts, shift, blocks[cell])
-    counts = flat.reshape(n + 1, b + 1)
+    for shard, weight in ranges:
+        start, end = shard.start, shard.stop
+        flat = np.zeros(cells, dtype=np.int64)  # this range's table
+        # Partial blocks at the range's cuts, each on its own.
+        first, stop = -(-start >> k), end >> k  # heads of the whole blocks
+        for piece in (range(start, min(end, first << k)),
+                      range(max(first, stop) << k, end)):
+            if piece:
+                base = piece.start >> k << k
+                words = sum(word << 64 * i
+                            for i, word in enumerate(spec.bond_words(base)))
+                add(block_counts(words, piece.start - base, piece.stop - base),
+                    base.bit_count() * (b + 1))
+
+        # Whole blocks.  A base's words s are zero on the bonds inside the
+        # block and the table's words t on the bonds with no end in it, so
+        # only R separates class from shift: popcount(t ^ s) =
+        # popcount(t ^ (s & R)) + popcount(s & ~R).  A block's histogram is
+        # that of its class s & R, shifted by popcount(s & ~R) anti-aligned
+        # bonds.  Each chunk of bases bins each of its classes once.
+        for head in range(first, stop, BASE_CHUNK):
+            bases = (np.arange(head, min(head + BASE_CHUNK, stop), dtype=np.uint64)
+                     << np.uint64(k))
+            shifts = np.bitwise_count(bases).astype(np.intp) * (b + 1)
+            scalars = spec.bond_words(bases)
+            # A class's key is its words packed like block_counts takes them.
+            keys = None
+            for i, (scalar, r) in enumerate(zip(scalars, support)):
+                cls = scalar & r
+                shifts += np.bitwise_count(scalar ^ cls)
+                words = cls.tolist()
+                keys = words if keys is None else [
+                    key | word << 64 * i for key, word in zip(keys, words)]
+            # Blocks per (class, shift), keyed key * cells + shift: sorted,
+            # each class's shifts come together, so one class histogram is
+            # alive at a time.
+            blocks = Counter([key * cells + shift
+                              for key, shift in zip(keys, shifts.tolist())])
+            binned = None
+            for cell in sorted(blocks):
+                key, shift = divmod(cell, cells)
+                if key != binned:
+                    binned, counts = key, block_counts(key)
+                add(counts, shift, blocks[cell])
+        total += flat if weight == 1 else weight * flat
+    counts = total.reshape(n + 1, b + 1)
     if spec.coupling < 0:
         # E = J * (2*anti - B): column `anti` is the energy index for J > 0,
         # and J < 0 mirrors the energy axis.
@@ -178,7 +215,7 @@ class RemoteTraceback(Exception):
 
 
 def _shard_worker(spec, shard, conn):
-    # Runs in the shard's own process.  Replies with one message: the walk's
+    # Walks the shard's (range, weight) pairs in its own process.  Replies with one message: the walk's
     # seconds as a float64, then its table's int64 counts in C order.  No
     # other numpy call: a forked worker pays RSS for each code path it is
     # first to touch, ~0.4 MB to pickle a histogram.  If the walk raised, an
@@ -186,7 +223,7 @@ def _shard_worker(spec, shard, conn):
     # pickle, and its formatted traceback).
     try:
         t0 = time.perf_counter()
-        counts = enumerate_shard(spec, shard).counts
+        counts = _walk(spec, shard).counts
         conn.send_bytes(struct.pack("d", time.perf_counter() - t0)
                         + counts.tobytes())
     except Exception as exc:
@@ -203,7 +240,9 @@ def _shard_worker(spec, shard, conn):
 def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     """Complete density of states plus timing.
 
-    With more than one worker, each shard runs in its own process, started
+    The walk, spec.top_orbits, is cut into one shard per worker whose
+    walked sizes differ by at most one index.  With more than one worker,
+    each shard runs in its own process, started
     for this call; at most available_parallelism() run at a time, however
     many shards `workers` asks for.  An exception in a worker is raised
     here, its traceback chained as a RemoteTraceback; a worker that exits
@@ -220,10 +259,10 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
                    if spec.num_configs > 1 << BLOCK_BITS else 1)
     if not 1 <= workers <= spec.num_configs:
         raise ValueError(f"workers must be in [1, 2^{spec.num_spins}], got {workers}")
-    shards = make_shards(spec, workers)
+    shards = _deal(spec.top_orbits, workers)
     t0 = time.perf_counter()
     if workers == 1:
-        hist = enumerate_shard(spec, shards[0])
+        hist = _walk(spec, shards[0])
         results = [(hist, time.perf_counter() - t0)]
     else:
         results = _run_shards(spec, shards)

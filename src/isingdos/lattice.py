@@ -11,6 +11,10 @@ anti-aligned bonds, packed into uint64 words by `LatticeSpec.bond_words`,
 the one bit-layout function of the walk: its table of low parts, its block
 bases and the bonds that cross a block's boundary all come from it.
 
+`LatticeSpec.top_orbits` lays out what the walk covers: one aligned range
+of the top bits per orbit of the lattice symmetries that map the top
+column(s) or layer(s) onto themselves, weighted by the orbit's size.
+
 Specs are immutable, so they can be shared freely across worker processes.
 """
 
@@ -18,12 +22,23 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 #: Hard cap on total spins: the configuration index must fit comfortably
 #: in an unsigned 64-bit integer.
 MAX_SPINS = 40
+
+#: Each walked top range holds at least 2^RANGE_BITS configurations: a
+#: range pays for its own classes and calls.  Serial walks (2-vCPU x86,
+#: numpy 2.4) at 2^18-configuration ranges beat the next smaller w on
+#: every lattice tried (2x3x4 129 -> 24 ms, 3x3x3 912 -> 41 ms, 3x7, 2x10,
+#: 3x8); at 2^15-2^16 some lost (5x5 8.4 -> 13.7 ms, 4x6, 2x2x7, 2x10).
+RANGE_BITS = 18
+#: Most bits of the top unit, whose orbits are found in Python by applying
+#: each symmetry to each orbit's first state (13-15 ms at 12 bits: 2x20, 4x10).
+TOP_BITS_CAP = 12
 
 #: Largest column height build_tables accepts (2^16 entries per table).
 # Kept: benchmarks/run.py's lattice.build_tables_s probe calls build_tables.
@@ -134,6 +149,65 @@ class LatticeSpec:
             else:
                 words.append(mask)
         return words
+
+    @cached_property
+    def top_orbits(self) -> tuple[tuple[range, int], ...]:
+        """The walk: (aligned top-bit range, weight), one per symmetry orbit.
+
+        The top unit is the last w columns (2D) or layers (3D), the top
+        w*u bits of the index for a unit of u spins.  A lattice symmetry
+        that maps the unit onto itself maps the configurations with top
+        state t one-to-one onto those with top state g(t), keeping M and E,
+        so their tables are equal: walking one range per orbit of top
+        states, weighted by the orbit's size, gives the full table.  w is
+        the most units that leave each range 2^RANGE_BITS configurations
+        or more and the top unit at most TOP_BITS_CAP bits; w = 0 is the
+        one range [0, 2^N) of weight 1.
+        """
+        unit = self.rows * (1 if self.depth == 1 else self.cols)
+        w = max(0, min(self.num_spins - RANGE_BITS, TOP_BITS_CAP) // unit)
+        return self._orbit_walk(w)
+
+    def _orbit_walk(self, w: int) -> tuple[tuple[range, int], ...]:
+        """top_orbits for a top unit of w columns (2D) or layers (3D)."""
+        group = self._top_group(w)
+        bits = len(group[0])
+        low = self.num_spins - bits
+        seen, walk = set(), []
+        for t in range(1 << bits):  # the first state of each orbit is its least
+            if t not in seen:
+                orbit = {sum(1 << p[i] for i in range(bits) if t >> i & 1)
+                         for p in group}
+                seen |= orbit
+                walk.append((range(t << low, (t + 1) << low), len(orbit)))
+        return tuple(walk)
+
+    def _top_group(self, w: int) -> list[tuple[int, ...]]:
+        """The lattice symmetries that map the top w units onto themselves.
+
+        Each is a permutation p of the unit's sites: site bit i goes to bit
+        p[i] of the top state.  A unit is w slices of rows x inner sites,
+        inner = 1 (columns) in 2D and cols (layers) in 3D.  The group: the
+        slice's translations and reflections, its transposition when it is
+        square, and the reflection of the w slices about their middle.
+        Never the spin flip, which maps M to -M, and never a translation
+        along the slice axis, which moves another unit on top.
+        """
+        rows, inner = self.rows, 1 if self.depth == 1 else self.cols
+        swaps = (False, True) if rows == inner else (False,)
+        group = set()
+        for dr, dc, sr, sc, swap, mirror in product(
+                range(rows), range(inner), (1, -1), (1, -1), swaps, (False, True)):
+            perm = []
+            # Site (r, c) of slice j is bit (j*inner + c)*rows + r.
+            for j, c, r in product(range(w), range(inner), range(rows)):
+                r2, c2 = (sr * r + dr) % rows, (sc * c + dc) % inner
+                if swap:
+                    r2, c2 = c2, r2
+                j2 = w - 1 - j if mirror else j
+                perm.append((j2 * inner + c2) * rows + r2)
+            group.add(tuple(perm))
+        return sorted(group)
 
     # Kept: benchmarks/run.py computes kernel_evals_per_config from it.
     def word_neighbor_pairs(self) -> list[tuple[int, int]]:

@@ -168,6 +168,10 @@ def test_whole_walk_bins_each_boundary_class_once(monkeypatch):
     spec = LatticeSpec(5, 5)
     enumerate_shard(spec, make_shards(spec, 1)[0])
     assert len(calls) == 1024
+    # The orbit walk: 8 top ranges of 2^20, each binning its 32 classes.
+    del calls[:]
+    full_dos(spec, workers=1)
+    assert len(calls) == 8 * 32
 
 
 # Every boundary shape the axis rotations handle: a length-2 axis on each
@@ -194,6 +198,71 @@ def test_enumerate_full_range_matches_oracle(monkeypatch, dims, coupling,
         head = enumerate_shard(spec, range(0, cut))
         tail = enumerate_shard(spec, range(cut, spec.num_configs))
         assert merge([head, tail]) == dos
+
+
+# -- symmetry-orbit walk ---------------------------------------------------------
+
+# The orbit walk at every w the chooser gives, up to TOP_BITS_CAP // 2 = 6 at
+# 2 rows, forced through the layout helper: double bonds, 2D and 3D, J = +-1,
+# and a square layer, whose group holds the transposition.
+@pytest.mark.parametrize("dims,coupling,ws", [
+    ((2, 8, 1), 1, range(7)), ((2, 8, 1), -1, range(7)),
+    ((4, 4, 1), 1, (1, 2)), ((3, 6, 1), 1, (1, 2, 3)),
+    ((2, 2, 4), -1, (1, 2, 3)), ((3, 3, 2), 1, (1,)),
+])
+def test_orbit_walk_matches_oracle(dims, coupling, ws, oracle_dos):
+    spec = LatticeSpec(*dims, coupling=coupling)
+    expected = oracle_dos(spec)
+    for w in ws:
+        assert enumeration._walk(spec, spec._orbit_walk(w)) == expected, w
+
+
+# 24 spins, past what the oracle walks in a test: against the plain walk.
+@pytest.mark.parametrize("dims", [(4, 6, 1), (2, 2, 6)])
+def test_orbit_walk_matches_plain_walk(dims):
+    spec = LatticeSpec(*dims, coupling=-1)
+    plain = enumerate_shard(spec, range(spec.num_configs))
+    for w in (1, 2):
+        assert enumeration._walk(spec, spec._orbit_walk(w)) == plain, w
+
+
+@pytest.fixture(scope="module")
+def plain5x5():
+    spec = LatticeSpec(5, 5)
+    return enumerate_shard(spec, range(spec.num_configs))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sharded_orbit_walk_is_bit_identical(plain5x5, workers):
+    dos = full_dos(LatticeSpec(5, 5), workers=workers)
+    assert np.array_equal(dos.counts, plain5x5.counts)
+
+
+@pytest.mark.parametrize("dims", [(5, 5, 1), (2, 2, 6), (4, 4, 1)])
+def test_workers_walk_near_equal_pieces_of_the_orbit_walk(dims):
+    spec = LatticeSpec(*dims)
+    walk = spec.top_orbits
+    for workers in range(1, 17):
+        pieces = enumeration._deal(walk, workers)
+        sizes = [sum(len(r) for r, _ in piece) for piece in pieces]
+        assert len(pieces) == workers and max(sizes) - min(sizes) <= 1
+        # In order, the pieces are the walk's ranges, each weight kept.
+        joined = [(r.start, r.stop, w) for piece in pieces for r, w in piece]
+        merged = []
+        for lo, hi, w in joined:
+            if merged and merged[-1][1] == lo and merged[-1][2] == w:
+                merged[-1][1] = hi
+            else:
+                merged.append([lo, hi, w])
+        assert merged == [[r.start, r.stop, w] for r, w in walk]
+        if len(walk) == 1:  # w = 0: the plain walk's layout
+            assert pieces == [[(r, 1)] for r in make_shards(spec, workers)]
+
+
+def test_two_workers_walk_four_five_by_five_ranges_each():
+    pieces = enumeration._deal(LatticeSpec(5, 5).top_orbits, 2)
+    assert [[w for _, w in piece] for piece in pieces] == [[1, 5, 5, 5],
+                                                           [5, 5, 5, 1]]
 
 
 # -- merging ------------------------------------------------------------------
@@ -377,13 +446,14 @@ forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 
 
 def _second_shard_fails(monkeypatch, fail):
-    real = enumeration.enumerate_shard
+    # A worker walks its shard's (range, weight) pieces with one _walk call.
+    real = enumeration._walk
 
-    def walk(spec, shard):
-        if shard.start:
+    def walk(spec, pieces):
+        if pieces[0][0].start:
             fail()
-        return real(spec, shard)
-    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
+        return real(spec, pieces)
+    monkeypatch.setattr(enumeration, "_walk", walk)
 
 
 @forked
@@ -449,14 +519,14 @@ def test_worker_that_dies_silently_raises(monkeypatch, spec4x4, deadline):
 @forked
 def test_table_cells_past_int32_come_back_exact(monkeypatch, spec4x4, dos4x4,
                                                 deadline):
-    real = enumeration.enumerate_shard
+    real = enumeration._walk
 
-    def walk(spec, shard):
-        hist = real(spec, shard)
-        if shard.start:
+    def walk(spec, pieces):
+        hist = real(spec, pieces)
+        if pieces[0][0].start:
             hist.counts[0, 0] += 2**40 + 1
         return hist
-    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
+    monkeypatch.setattr(enumeration, "_walk", walk)
     expected = dos4x4.counts.copy()
     expected[0, 0] += 2**40 + 1
     assert np.array_equal(full_dos(spec4x4, workers=2).counts, expected)
@@ -468,7 +538,7 @@ def test_reply_of_the_wrong_length_raises(monkeypatch, spec4x4, deadline):
     real = enumeration._shard_worker
 
     def worker(spec, shard, conn):
-        if shard.start:
+        if shard[0][0].start:
             conn.send_bytes(bytes(16))
             conn.close()
         else:

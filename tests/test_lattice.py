@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -127,6 +128,67 @@ def test_block_boundary_splits_class_from_shift(dims):
             np.bitwise_count(t ^ s).sum(axis=0),
             np.bitwise_count(t ^ cls).sum(axis=0)
             + np.bitwise_count(rest).sum(axis=0)), k
+
+
+# -- symmetry orbits of the top unit ----------------------------------------------
+
+# Top units of 2D columns (2 rows: double bonds) and 3D layers, square (with
+# the transposition) and not, with w up to 6, TOP_BITS_CAP // 2.
+ORBIT_CASES = [((2, 8, 1), 1), ((2, 8, 1), 3), ((2, 8, 1), 6), ((4, 4, 1), 2),
+               ((3, 5, 1), 1), ((2, 2, 4), 2), ((3, 3, 2), 1), ((2, 3, 3), 1)]
+
+
+@pytest.mark.parametrize("dims,w", ORBIT_CASES)
+def test_top_symmetries_keep_each_top_range_table(dims, w):
+    # Each group element permutes the unit's sites, and the top range of
+    # every state walks to the same g(M, E) as the range of its image.
+    spec = LatticeSpec(*dims)
+    group = spec._top_group(w)
+    bits = len(group[0])
+    low = spec.num_spins - bits
+    tables = [enumerate_shard(spec, range(t << low, (t + 1) << low))
+              for t in range(1 << bits)]
+    for perm in group:
+        assert sorted(perm) == list(range(bits))
+        for t in range(1 << bits):
+            image = sum(1 << perm[i] for i in range(bits) if t >> i & 1)
+            assert tables[image] == tables[t], (perm, t)
+
+
+@pytest.mark.parametrize("dims,w", ORBIT_CASES + [((5, 5, 1), 1), ((4, 4, 1), 0)])
+def test_orbit_walk_counts_each_top_state_once(dims, w):
+    # One aligned range per orbit, in order, each starting at its orbit's
+    # least state; the weights of the orbits with m up spins sum to
+    # C(bits, m), so they cover every top state once and keep M.
+    spec = LatticeSpec(*dims)
+    walk = spec._orbit_walk(w)
+    bits = w * spec.rows * (1 if spec.depth == 1 else spec.cols)
+    low = spec.num_spins - bits
+    firsts = [r.start >> low for r, _ in walk]
+    assert firsts == sorted(set(firsts))
+    assert all(r == range(t << low, (t + 1) << low)
+               for t, (r, _) in zip(firsts, walk))
+    by_m = [0] * (bits + 1)
+    for t, (_, weight) in zip(firsts, walk):
+        by_m[t.bit_count()] += weight
+    assert by_m == [comb(bits, m) for m in range(bits + 1)]
+
+
+@pytest.mark.parametrize("dims,w", [
+    ((4, 4, 1), 0), ((4, 5, 1), 0), ((3, 6, 1), 0), ((5, 5, 1), 1),
+    ((4, 6, 1), 1), ((2, 2, 6), 1), ((2, 3, 4), 1), ((5, 6, 1), 2),
+    ((5, 8, 1), 2), ((2, 20, 1), 6), ((2, 2, 10), 3), ((3, 3, 4), 1),
+])
+def test_top_unit_width(dims, w):
+    # The most units that keep 2^18 configurations per range, at most 12 bits.
+    spec = LatticeSpec(*dims)
+    assert spec.top_orbits == spec._orbit_walk(w)
+
+
+def test_five_by_five_walks_eight_ranges():
+    spec = LatticeSpec(5, 5)
+    assert [len(r) for r, _ in spec.top_orbits] == [2**20] * 8
+    assert [weight for _, weight in spec.top_orbits] == [1, 5, 5, 5, 5, 5, 5, 1]
 
 
 # -- index layout -------------------------------------------------------------

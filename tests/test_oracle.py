@@ -123,7 +123,8 @@ def test_oracle_shares_no_code_with_the_fast_engine():
     # Not even the fast walk's module is loaded through the oracle.
     assert modules == {"histogram", "lattice"}
     fast_path = {"axis_rotations", "bond_words", "bond_support",
-                 "enumerate_shard", "full_dos", "make_shards", "merge"}
+                 "enumerate_shard", "full_dos", "make_shards", "merge",
+                 "top_orbits", "_orbit_walk", "_top_group"}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)}

@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Mutation check of the tier-1 suite: which planted faults does it catch?
+
+Each mutant is a named string patch of the library.  For each, the script
+copies the checkout's src/ and tests/, with the files the suite also reads
+(demos/, README.md, pyproject.toml), to a temporary directory, applies the
+patch there, runs the tier-1 suite with -x -q and reports whether it failed
+(the mutant is killed) and which test failed first.  An unpatched copy runs
+first and must pass.  Standard library only; run it by hand from any
+directory, it takes a few minutes:
+
+    python3 tools/mutants.py              # every mutant
+    python3 tools/mutants.py NAME ...     # the named mutants
+
+It exits 1 if the unpatched copy fails, a patch no longer applies, or a
+mutant survives.
+"""
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
+#: Seconds one suite run may take; a suite still running then counts as failed.
+TIMEOUT = 900
+LATTICE = "src/isingdos/lattice.py"
+WALK = "src/isingdos/enumeration.py"
+
+#: name -> (what it breaks, [(file, text, replacement)]); each text must
+#: occur exactly once in its file.
+MUTANTS = {
+    "orbit-weight-off-by-one": (
+        "the second orbit's weight is one too large",
+        [(LATTICE, "len(orbit)))", "len(orbit) + (len(walk) == 1)))")]),
+    "orbit-dropped": (
+        "the last orbit of the top states is not walked",
+        [(LATTICE, "        return tuple(walk)\n",
+          "        return tuple(walk[:-1] if len(walk) > 1 else walk)\n")]),
+    "spin-flip-in-group": (
+        "the spin flip joins each orbit to its flipped states",
+        [(LATTICE, "                seen |= orbit\n",
+          "                orbit |= {(1 << bits) - 1 ^ s for s in orbit}\n"
+          "                seen |= orbit\n")]),
+    "column-translation-in-group": (
+        "a translation of the top units among themselves joins the group",
+        [(LATTICE, "(1, -1), swaps, (False, True)):",
+          "(1, -1), swaps, (False, True, 2)):"),
+         (LATTICE, "j2 = w - 1 - j if mirror else j",
+          "j2 = (j + 1) % w if mirror == 2 else w - 1 - j if mirror else j")]),
+    "wrong-wrap-mask": (
+        "the wrap mask misses the first site of each period",
+        [(LATTICE, "wrap = sum(((1 << stride) - 1) << b",
+          "wrap = sum(((1 << stride) - 2) << b")]),
+    "missing-layer-axis": (
+        "3D lattices lose their layer bonds",
+        [(LATTICE, "        if self.depth > 1:\n            axes.append(",
+          "        if self.depth < 1:\n            axes.append(")]),
+    "missing-afm-mirror": (
+        "J < 0 tables keep the J > 0 energy axis",
+        [(WALK, "    if spec.coupling < 0:\n", "    if False:\n")]),
+    "class-keys-word-0": (
+        "boundary classes are keyed on their first bond word only",
+        [(WALK, "key | word << 64 * i for key, word in zip(keys, words)]",
+          "key for key, word in zip(keys, words)]")]),
+    "class-boundary-none": (
+        "R = 0: no bond crosses the block boundary",
+        [(WALK, "support = [np.uint64(r) for r in",
+          "support = [np.uint64(0) for r in")]),
+    "class-boundary-all": (
+        "R = all bits: every bond crosses the block boundary",
+        [(WALK, "support = [np.uint64(r) for r in",
+          "support = [np.uint64(WORD) for r in")]),
+}
+
+
+def apply(tree, patches):
+    """Apply the patches in the copy at tree; the reason it cannot, or None."""
+    for name, text, replacement in patches:
+        path = tree / name
+        source = path.read_text(encoding="utf-8")
+        if source.count(text) != 1:
+            return f"{name}: patched text found {source.count(text)} times"
+        path.write_text(source.replace(text, replacement), encoding="utf-8")
+    return None
+
+
+def run_suite(tree):
+    """(failed, first failing test or '', seconds) of tier-1 run in tree."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p",
+           "no:cacheprovider", "--continue-on-collection-errors"]
+    t0 = time.perf_counter()
+    try:
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return True, f"(suite still running after {TIMEOUT} s)", TIMEOUT
+    seconds = time.perf_counter() - t0
+    first = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    return proc.returncode != 0, first.group(1) if first else "", seconds
+
+
+def check(name, patches):
+    """(failed, first failing test, seconds) of one mutant, or raise ValueError."""
+    with tempfile.TemporaryDirectory(prefix="isingdos-mutant-") as tmp:
+        tree = Path(tmp)
+        for item in COPIED:
+            source = ROOT / item
+            if source.is_dir():
+                shutil.copytree(source, tree / item,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, tree / item)
+        problem = apply(tree, patches)
+        if problem:
+            raise ValueError(f"{name}: {problem}")
+        return run_suite(tree)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"mutants to run (default: all of {', '.join(MUTANTS)})")
+    args = parser.parse_args(argv)
+    unknown = [n for n in args.names if n not in MUTANTS]
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+
+    failed, first, seconds = check("unpatched", [])
+    print(f"unpatched copy: {'FAILS at ' + first if failed else 'passes'} "
+          f"({seconds:.0f} s)", flush=True)
+    if failed:
+        return 1
+    survivors = 0
+    print(f"{'mutant':28} {'killed':6} {'s':>4}  first failing test")
+    for name in args.names or MUTANTS:
+        what, patches = MUTANTS[name]
+        try:
+            killed, first, seconds = check(name, patches)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        survivors += not killed
+        print(f"{name:28} {'yes' if killed else 'NO':6} {seconds:4.0f}  "
+              f"{first or '-'}  ({what})", flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
