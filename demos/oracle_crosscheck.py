@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Cross-validate the bit-kernel engine against a deliberately naive oracle.
+"""Cross-validate the enumeration engine against a deliberately naive oracle.
 
 The oracle decodes every configuration into an explicit +-1 spin array and
 sums bonds one by one; it shares no code with the split-index walk.  On

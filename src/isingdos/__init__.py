@@ -1,9 +1,10 @@
 """Exact density of states and partition function for finite Ising lattices.
 
-Configurations are enumerated exhaustively, each 64-bit index classified
-whole by masked rotations and vector popcounts, in parallel shards that
-merge into an exact integer g(M, E) histogram; thermodynamic observables
-follow from it at any field and temperature.  A deliberately naive oracle engine
+Configurations are enumerated exhaustively, one range of the top bits per
+symmetry orbit, in blocks binned by XOR and vector popcount of tabulated
+bond masks, in parallel shards that merge into an exact integer g(M, E)
+histogram; thermodynamic observables follow from it at any field and
+temperature.  A deliberately naive oracle engine
 cross-checks everything on small lattices.
 """
 

@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thermo)
 
     p = sub.add_parser("oracle-check",
-                       help="diff the bit-kernel engine against the naive oracle")
+                       help="diff the enumeration engine against the naive oracle")
     add_lattice_args(p)
     p.set_defaults(func=cmd_oracle_check)
 

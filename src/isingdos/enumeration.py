@@ -50,25 +50,22 @@ WORD = (1 << 64) - 1
 def make_shards(spec: LatticeSpec, num_shards: int) -> list[range]:
     """Partition [0, 2^N) into num_shards contiguous ranges of near-equal size.
 
-    Sizes differ by at most one; the first (2^N mod num_shards) shards get
-    the extra index.  Deterministic for fixed inputs.
+    The one-range walk [0, 2^N) cut by `_deal`.  Deterministic for fixed
+    inputs.
     """
-    total = spec.num_configs
-    if not 1 <= num_shards <= total:
+    if not 1 <= num_shards <= spec.num_configs:
         raise ValueError(
             f"num_shards must be in [1, 2^{spec.num_spins}], got {num_shards}"
         )
-    base, extra = divmod(total, num_shards)
-    cuts = [i * base + min(i, extra) for i in range(num_shards + 1)]
-    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return [r for ((r, _),) in _deal([(range(spec.num_configs), 1)], num_shards)]
 
 
 def _deal(walk, workers):
     """Cut a walk's (range, weight) pairs, in order, into `workers` shards.
 
     Of the walk's S indices, shard i walks S // workers, plus one for
-    i < S % workers, as make_shards cuts [0, 2^N); each part of a range
-    keeps its weight.
+    i < S % workers, contiguous in walk order; each part of a range keeps
+    its weight.
     """
     base, extra = divmod(sum(len(r) for r, _ in walk), workers)
     rest, shards, rng = iter(walk), [], range(0)
@@ -215,12 +212,12 @@ class RemoteTraceback(Exception):
 
 
 def _shard_worker(spec, shard, conn):
-    # Walks the shard's (range, weight) pairs in its own process.  Replies with one message: the walk's
-    # seconds as a float64, then its table's int64 counts in C order.  No
-    # other numpy call: a forked worker pays RSS for each code path it is
-    # first to touch, ~0.4 MB to pickle a histogram.  If the walk raised, an
-    # empty message, then (the pickled exception, or None if it does not
-    # pickle, and its formatted traceback).
+    # Walks the shard's (range, weight) pairs in its own process.  Replies
+    # with one message: the walk's seconds as a float64, then its table's
+    # int64 counts in C order.  No other numpy call: a forked worker pays
+    # RSS for each code path it is first to touch, ~0.4 MB to pickle a
+    # histogram.  If the walk raised, an empty message, then (the pickled
+    # exception, or None if it does not pickle, and its formatted traceback).
     try:
         t0 = time.perf_counter()
         counts = _walk(spec, shard).counts

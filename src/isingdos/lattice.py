@@ -86,9 +86,11 @@ class LatticeSpec:
             raise ValueError(f"coupling J must be finite, got {j}")
         if j == 0:
             raise ValueError("coupling J must be nonzero")
-        # Keep J integral when it is one: energies then stay exact ints.
-        if isinstance(j, float) and j.is_integer():
-            object.__setattr__(self, "coupling", int(j))
+        # Keep J a plain float, or an int when integral: energies then stay
+        # exact ints, and files and thermo never meet a numpy scalar.
+        if not isinstance(j, int):
+            j = float(j)
+            object.__setattr__(self, "coupling", int(j) if j.is_integer() else j)
 
     @property
     def num_spins(self) -> int:

@@ -133,9 +133,14 @@ def test_criterion_6_brute_force_partition_equivalence(dos4x4):
 def test_criterion_7_scaling_shape():
     notes = []
     with criterion(7, "scaling shape", notes):
-        r44 = run_bench(LatticeSpec(4, 4), [1], repeats=3)[0].wall_seconds
-        r45 = run_bench(LatticeSpec(4, 5), [1], repeats=3)[0].wall_seconds
-        ratio = r45 / r44
+        # Each wall is the least of 9 runs, 4x4 and 4x5 taking turns, so a
+        # slow phase of a shared host slows both lattices, not one.
+        walls = {(4, 4): math.inf, (4, 5): math.inf}
+        for _ in range(9):
+            for dims in walls:
+                record = run_bench(LatticeSpec(*dims), [1], repeats=1)[0]
+                walls[dims] = min(walls[dims], record.wall_seconds)
+        ratio = walls[4, 5] / walls[4, 4]
         assert 8 <= ratio <= 32  # ideal 16: one extra spin doubles the work 4x
         notes.append(f"4x5/4x4 wall ratio {ratio:.1f}")
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from isingdos import DoSHistogram, LatticeSpec, format_dos_csv, full_dos, parse_dos, \
-    read_dos
+from isingdos import DoSHistogram, LatticeSpec, ResultMismatchError, \
+    format_dos_csv, full_dos, parse_dos, read_dos
+from isingdos import cli
 from isingdos.cli import main
 
 from conftest import DOS_2X2_CELLS
@@ -164,6 +165,13 @@ MALFORMED = {
     "json-nested-too-deeply": '{"cells": %s}' % ("[" * 100_000 + "]" * 100_000),
     "csv-not-utf8": b"# rows=2 cols=2 depth=1 J=1 N=4 B=8 version=1\n"
                     b"count,M,E\n1,4,-8\xff\n",
+    "csv-header-token-without-equals": "# rows=2 cols=2 depth=1 J=1 N=4 B=8 "
+                                       "version=1 spins\ncount,M,E\n",
+    "csv-header-missing-key": "# rows=2 cols=2 depth=1 N=4 B=8 version=1\n"
+                              "count,M,E\n",
+    "csv-spin-count-off-geometry": "# rows=2 cols=2 depth=1 J=1 N=5 B=8 "
+                                   "version=1\ncount,M,E\n",
+    "json-two-item-cell": '{%s, "J": 1, "cells": [[1, 4]]}' % _HEAD_2X2,
 }
 
 
@@ -313,6 +321,23 @@ def test_oracle_check_over_cap(capsys):
     assert "oracle cap" in capsys.readouterr().err
 
 
+def test_oracle_check_reports_mismatching_cells(monkeypatch, capsys):
+    # The engine's table with one configuration moved from (M=0, E=0) to
+    # (M=0, E=8): two cells differ from the oracle's.
+    def moved(spec):
+        counts = full_dos(spec, workers=1).counts.copy()
+        counts[2, 4] -= 1
+        counts[2, 8] += 1
+        return DoSHistogram(spec, counts)
+
+    monkeypatch.setattr(cli, "full_dos", moved)
+    assert run_cli("oracle-check", "--rows", "2", "--cols", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("  (M=0, E=0): engine=3 oracle=4\n"
+                            "  (M=0, E=8): engine=3 oracle=2\n")
+    assert captured.err == "error: check-failed: 2 mismatching cells\n"
+
+
 # -- bench ------------------------------------------------------------------------
 
 def test_bench_report(tmp_path):
@@ -326,6 +351,19 @@ def test_bench_report(tmp_path):
     first = lines[1].split(",")
     assert first[:5] == ["3", "3", "1", "9", "1"]
     assert float(first[6]) == 1.0
+
+
+def test_bench_result_mismatch_is_check_failure(monkeypatch, capsys):
+    def mismatch(spec, workers, repeats):
+        raise ResultMismatchError("2-worker run disagrees with the 1-worker "
+                                  "result on 3x3x1")
+
+    monkeypatch.setattr(cli, "run_bench", mismatch)
+    assert run_cli("bench", "--rows", "3", "--cols", "3",
+                   "--workers", "1,2") == 1
+    assert capsys.readouterr().err == (
+        "error: check-failed: 2-worker run disagrees with the 1-worker "
+        "result on 3x3x1\n")
 
 
 def test_bench_rejects_zero_worker_in_list():

@@ -1,5 +1,7 @@
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from isingdos import (
@@ -10,6 +12,7 @@ from isingdos import (
     full_dos,
     parse_dos,
     read_dos,
+    thermo_sweep,
 )
 from isingdos.dosio import parse_dos_csv, parse_dos_json
 
@@ -31,6 +34,27 @@ def test_round_trip_3d_and_negative_coupling():
         dos = full_dos(spec, workers=1)
         assert parse_dos_csv(format_dos_csv(dos)) == dos
         assert parse_dos_json(format_dos_json(dos)) == dos
+
+
+# A non-integral J round-trips, and J given as a numpy scalar or a Fraction
+# is kept as the plain int or float it equals, so files carry a number and
+# thermo gets a float.
+@pytest.mark.parametrize("coupling,plain", [
+    (2.5, 2.5), (np.int64(-1), -1), (np.int64(2), 2), (np.float32(0.5), 0.5),
+    (Fraction(1, 2), 0.5),
+], ids=["non-integral", "int64-minus-1", "int64-2", "float32-half",
+        "fraction-half"])
+def test_coupling_round_trips_as_a_plain_number(coupling, plain):
+    spec = LatticeSpec(2, 2, coupling=coupling)
+    assert type(spec.coupling) is type(plain) and spec.coupling == plain
+    dos = full_dos(spec, workers=1)
+    text = format_dos_csv(dos)
+    assert text.splitlines()[0].split()[4] == f"J={plain}"
+    assert parse_dos_csv(text) == dos
+    assert parse_dos_json(format_dos_json(dos)) == dos
+    expected = full_dos(LatticeSpec(2, 2, coupling=plain), workers=1)
+    temps = [0.5, 1.0, 2.0]
+    assert thermo_sweep(dos, 0.25, temps) == thermo_sweep(expected, 0.25, temps)
 
 
 def test_rows_sorted_m_desc_e_asc(dos4x4):
@@ -151,6 +175,10 @@ def test_parse_error_nonpositive_count(dos2x2):
 def test_parse_error_invalid_json():
     with pytest.raises(DosFileError):
         parse_dos('{"rows": 2,')
+    # parse_dos reads only text opening with "{" as JSON, so only a direct
+    # parse_dos_json call can meet a top level that is not an object.
+    with pytest.raises(DosFileError, match="expected a JSON object"):
+        parse_dos_json("[1, 4, -8]")
     with pytest.raises(DosFileError, match="cells"):
         parse_dos('{"rows": 2, "cols": 2, "depth": 1, "J": 1, '
                   '"N": 4, "B": 8, "version": 1}')

@@ -256,7 +256,10 @@ def test_workers_walk_near_equal_pieces_of_the_orbit_walk(dims):
                 merged.append([lo, hi, w])
         assert merged == [[r.start, r.stop, w] for r, w in walk]
         if len(walk) == 1:  # w = 0: the plain walk's layout
-            assert pieces == [[(r, 1)] for r in make_shards(spec, workers)]
+            base, extra = divmod(spec.num_configs, workers)
+            cuts = [i * base + min(i, extra) for i in range(workers + 1)]
+            assert pieces == [[(range(lo, hi), 1)]
+                              for lo, hi in zip(cuts, cuts[1:])]
 
 
 def test_two_workers_walk_four_five_by_five_ranges_each():

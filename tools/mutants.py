@@ -77,6 +77,10 @@ MUTANTS = {
         "R = all bits: every bond crosses the block boundary",
         [(WALK, "support = [np.uint64(r) for r in",
           "support = [np.uint64(WORD) for r in")]),
+    "deal-extra-to-last": (
+        "the cut gives its extra indices to the last shards, not the first",
+        [(WALK, "want = [], base + (i < extra)",
+          "want = [], base + (i >= workers - extra)")]),
 }
 
 
