@@ -4,8 +4,8 @@ Configurations are enumerated exhaustively, one range of the top bits per
 symmetry orbit, in blocks binned by XOR and vector popcount of tabulated
 bond masks, in parallel shards that merge into an exact integer g(M, E)
 histogram; thermodynamic observables follow from it at any field and
-temperature.  A deliberately naive oracle engine
-cross-checks everything on small lattices.
+temperature.  A deliberately naive oracle engine cross-checks everything
+on small lattices.
 """
 
 from .bench import BenchRecord, ResultMismatchError, emit_scaling_report, \

@@ -87,7 +87,7 @@ class LatticeSpec:
         if j == 0:
             raise ValueError("coupling J must be nonzero")
         # Keep J a plain float, or an int when integral: energies then stay
-        # exact ints, and files and thermo never meet a numpy scalar.
+        # exact ints, and files and thermo never meet a numpy or Fraction J.
         if not isinstance(j, int):
             j = float(j)
             object.__setattr__(self, "coupling", int(j) if j.is_integer() else j)
