@@ -1,11 +1,12 @@
 """Exact density of states and partition function for finite Ising lattices.
 
 Configurations are enumerated exhaustively, one range of the top bits per
-symmetry orbit, in blocks binned by XOR and vector popcount of tabulated
-bond masks, in parallel shards that merge into an exact integer g(M, E)
-histogram; thermodynamic observables follow from it at any field and
-temperature.  A deliberately naive oracle engine cross-checks everything
-on small lattices.
+symmetry orbit weighted by the orbit's size, in blocks binned by XOR and
+vector popcount of tabulated bond masks.  `make_shards` cuts those (range,
+weight) pairs into parallel shards, `enumerate_shard` walks each, and
+`merge` adds them into an exact integer g(M, E) histogram; thermodynamic
+observables follow from it at any field and temperature.  A deliberately
+naive oracle engine cross-checks everything on small lattices.
 """
 
 from .bench import BenchRecord, ResultMismatchError, emit_scaling_report, \

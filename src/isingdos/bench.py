@@ -44,8 +44,8 @@ def run_bench(spec: LatticeSpec, worker_counts, repeats: int = 3) -> list[BenchR
     counts = list(worker_counts)
     if not counts:
         raise ValueError("worker_counts must be nonempty")
-    if any(not isinstance(p, int) or p < 1 for p in counts):
-        raise ValueError(f"worker counts must be positive integers: {counts}")
+    if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in counts):
+        raise ValueError(f"workers must be positive integers, got {counts}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 

@@ -169,8 +169,8 @@ def parse_dos_json(text: str) -> DoSHistogram:
 
 
 def parse_dos(text: str) -> DoSHistogram:
-    """Parse either format, sniffing JSON by its leading brace."""
-    if text.lstrip()[:1] == "{":
+    """Parse either format, sniffing JSON by its leading brace or bracket."""
+    if text.lstrip()[:1] in ("{", "["):
         return parse_dos_json(text)
     return parse_dos_csv(text)
 

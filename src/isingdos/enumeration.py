@@ -3,25 +3,26 @@
 The walk is one aligned top-bit range per symmetry orbit of the top
 column(s) or layer(s), each weighted by its orbit's size
 (`LatticeSpec.top_orbits`); a lattice too small for ranges of 2^18
-configurations walks [0, 2^N) whole.  The ranges, in order, are cut into
-one near-equal shard per worker, and each range is walked in aligned blocks
-of 2^k indices H*2^k + L.  The anti-aligned bond masks of the 2^k low
-parts L (per periodic axis, the index XOR its masked rotation, packed into
-uint64 words) are tabulated once per shard; the masks are linear over
-GF(2), so a block XORs its base's words into the table, takes one vector
-popcount per word and bins (spin excess, exchange energy) with one
-bincount.  Only the base's bonds that cross the block's boundary change
-that histogram; the rest shift it.  Blocks whose bases agree on those bonds
-form a boundary class (multi-spin coding, Jacobs & Rebbi 1981, cut once
-like Beale's 1996 transfer matrix), and each chunk of bases bins each of
-its classes once.  Each range's table is multiplied by its weight once,
-after its walk.  Counts are exact integers and `merge` adds the shard
-tables elementwise, so the total is bit-identical for any shard count or
-merge order.  With several workers, each shard runs in a forked process of
-its own, at most one per usable CPU alive at a time, that pipes back one
-message: its walk's seconds as a float64, then its bare int64 table in C
-order, which the caller rebuilds against its own spec.  Only a failed
-walk's exception and traceback are pickled."""
+configurations walks [0, 2^N) whole.  `make_shards` cuts the ranges, in
+order, into one near-equal shard of (range, weight) pairs per worker, and
+`enumerate_shard` walks each range in aligned blocks of 2^k indices
+H*2^k + L.  The anti-aligned bond masks of the 2^k low parts L (per
+periodic axis, the index XOR its masked rotation, packed into uint64 words)
+are tabulated once per shard; the masks are linear over GF(2), so a block
+XORs its base's words into the table, takes one vector popcount per word
+and bins (spin excess, exchange energy) with one bincount.  Only the base's bonds that
+cross the block's boundary change that histogram; the rest shift it.
+Blocks whose bases agree on those bonds form a boundary class (multi-spin
+coding, Jacobs & Rebbi 1981, cut once like Beale's 1996 transfer matrix),
+and each chunk of bases bins each of its classes once.  Each range's table
+is multiplied by its weight once, after its walk.  Counts are exact
+integers and `merge` adds the shard tables elementwise, so the total is
+bit-identical for any shard count or merge order.  With several workers,
+each shard runs in a forked process of its own, at most one per usable CPU
+alive at a time, that pipes back one message: its walk's seconds as a
+float64, then its bare int64 table in C order, which the caller rebuilds
+against its own spec.  Only a failed walk's exception and traceback are
+pickled."""
 
 import os
 import pickle
@@ -47,29 +48,28 @@ BASE_CHUNK = 256
 WORD = (1 << 64) - 1
 
 
-def make_shards(spec: LatticeSpec, num_shards: int) -> list[range]:
-    """Partition [0, 2^N) into num_shards contiguous ranges of near-equal size.
+def _check_count(name, count, spec):
+    # A shard or worker count: an int, not a bool, in [1, 2^N].
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+    if not 1 <= count <= spec.num_configs:
+        raise ValueError(f"{name} must be in [1, 2^{spec.num_spins}], got {count}")
 
-    The one-range walk [0, 2^N) cut by `_deal`.  Deterministic for fixed
+
+def make_shards(spec: LatticeSpec, num_shards: int) -> list[list[tuple[range, int]]]:
+    """Cut the walk, spec.top_orbits, in order, into num_shards shards.
+
+    A shard is a list of (range, weight) pairs.  Of the walk's S indices,
+    shard i walks S // num_shards, plus one for i < S % num_shards,
+    contiguous in walk order; each part of a range keeps its weight.  On a
+    lattice walked whole, shard i is [(range, 1)].  Deterministic for fixed
     inputs.
     """
-    if not 1 <= num_shards <= spec.num_configs:
-        raise ValueError(
-            f"num_shards must be in [1, 2^{spec.num_spins}], got {num_shards}"
-        )
-    return [r for ((r, _),) in _deal([(range(spec.num_configs), 1)], num_shards)]
-
-
-def _deal(walk, workers):
-    """Cut a walk's (range, weight) pairs, in order, into `workers` shards.
-
-    Of the walk's S indices, shard i walks S // workers, plus one for
-    i < S % workers, contiguous in walk order; each part of a range keeps
-    its weight.
-    """
-    base, extra = divmod(sum(len(r) for r, _ in walk), workers)
+    _check_count("num_shards", num_shards, spec)
+    walk = spec.top_orbits
+    base, extra = divmod(sum(len(r) for r, _ in walk), num_shards)
     rest, shards, rng = iter(walk), [], range(0)
-    for i in range(workers):
+    for i in range(num_shards):
         shard, want = [], base + (i < extra)
         while want:
             if not rng:
@@ -82,28 +82,20 @@ def _deal(walk, workers):
 
 # -- the vectorized walk ----------------------------------------------------
 
-def enumerate_shard(spec: LatticeSpec, shard: range) -> DoSHistogram:
-    """Classify every configuration index in the shard's range into g(M, E).
+def enumerate_shard(spec: LatticeSpec, shard) -> DoSHistogram:
+    """g(M, E) of a shard's (range, weight) pairs: each range's table times its weight.
 
-    Args:
-        spec:   lattice geometry and coupling.
-        shard:  range of configuration indices to walk, step 1.
-
-    Returns:
-        Partial histogram counting exactly the shard's configurations.
-    """
-    if shard.step != 1 or not 0 <= shard.start <= shard.stop <= spec.num_configs:
-        raise ValueError(f"shard {shard} invalid for 2^{spec.num_spins} "
-                         f"configurations")
-    return _walk(spec, [(shard, 1)])
-
-
-def _walk(spec, ranges):
-    """g(M, E) of (range, weight) pairs: each range's table times its weight.
-
+    A shard is as make_shards gives it: ranges of step 1 in [0, 2^N), each
+    with a positive int weight; a plain walk of [a, b) is [(range(a, b), 1)].
     The low table is built once for all ranges, and each range's table is
     weighted once, after its walk, not at each class it adds.
     """
+    for rng, weight in shard:
+        if (rng.step != 1 or not 0 <= rng.start <= rng.stop <= spec.num_configs
+                or isinstance(weight, bool) or not isinstance(weight, int)
+                or weight < 1):
+            raise ValueError(f"shard piece ({rng}, {weight!r}) invalid for "
+                             f"2^{spec.num_spins} configurations")
     n, b = spec.num_spins, spec.num_bonds
     k = min(BLOCK_BITS, n)
     size = 1 << k
@@ -129,8 +121,8 @@ def _walk(spec, ranges):
 
     # The bonds R that cross a block's boundary: the words of the block mask.
     support = [np.uint64(r) for r in spec.bond_words(size - 1)]
-    for shard, weight in ranges:
-        start, end = shard.start, shard.stop
+    for rng, weight in shard:
+        start, end = rng.start, rng.stop
         flat = np.zeros(cells, dtype=np.int64)  # this range's table
         # Partial blocks at the range's cuts, each on its own.
         first, stop = -(-start >> k), end >> k  # heads of the whole blocks
@@ -220,7 +212,7 @@ def _shard_worker(spec, shard, conn):
     # exception, or None if it does not pickle, and its formatted traceback).
     try:
         t0 = time.perf_counter()
-        counts = _walk(spec, shard).counts
+        counts = enumerate_shard(spec, shard).counts
         conn.send_bytes(struct.pack("d", time.perf_counter() - t0)
                         + counts.tobytes())
     except Exception as exc:
@@ -237,14 +229,13 @@ def _shard_worker(spec, shard, conn):
 def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     """Complete density of states plus timing.
 
-    The walk, spec.top_orbits, is cut into one shard per worker whose
-    walked sizes differ by at most one index.  With more than one worker,
-    each shard runs in its own process, started
-    for this call; at most available_parallelism() run at a time, however
-    many shards `workers` asks for.  An exception in a worker is raised
-    here, its traceback chained as a RemoteTraceback; a worker that exits
-    without replying, or replies with a table of the wrong size, raises
-    RuntimeError.
+    make_shards cuts the walk, spec.top_orbits, into one shard per worker,
+    and enumerate_shard walks each.  With more than one worker, each shard
+    runs in its own process, started for this call; at most
+    available_parallelism() run at a time, however many shards `workers`
+    asks for.  An exception in a worker is raised here, its traceback
+    chained as a RemoteTraceback; a worker that exits without replying, or
+    replies with a table of the wrong size, raises RuntimeError.
 
     Returns:
         (histogram, wall_seconds, per_worker_seconds) where the per-worker
@@ -254,12 +245,11 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
         # Auto mode walks a lattice of at most one block serially.
         workers = (available_parallelism()
                    if spec.num_configs > 1 << BLOCK_BITS else 1)
-    if not 1 <= workers <= spec.num_configs:
-        raise ValueError(f"workers must be in [1, 2^{spec.num_spins}], got {workers}")
-    shards = _deal(spec.top_orbits, workers)
+    _check_count("workers", workers, spec)
+    shards = make_shards(spec, workers)
     t0 = time.perf_counter()
     if workers == 1:
-        hist = _walk(spec, shards[0])
+        hist = enumerate_shard(spec, shards[0])
         results = [(hist, time.perf_counter() - t0)]
     else:
         results = _run_shards(spec, shards)

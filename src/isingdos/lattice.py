@@ -41,7 +41,7 @@ RANGE_BITS = 18
 TOP_BITS_CAP = 12
 
 #: Largest column height build_tables accepts (2^16 entries per table).
-# Kept: benchmarks/run.py's lattice.build_tables_s probe calls build_tables.
+# No walk reads it; it goes with build_tables (see there).
 TABLE_ROWS_CAP = 16
 
 
@@ -102,7 +102,9 @@ class LatticeSpec:
         """Total periodic nearest-neighbor bond count B: 2N in 2D, 3N in 3D."""
         return (2 if self.depth == 1 else 3) * self.num_spins
 
-    # Kept: benchmarks/run.py computes kernel_evals_per_config from it.
+    # No walk reads it.  benchmarks/run.py's per_layer computes
+    # kernel_evals_per_config from it outside any guard, so without it a
+    # --trace 1 run crashes; it goes when that metric does.
     @property
     def num_words(self) -> int:
         """Number of column bit-words per configuration."""
@@ -211,7 +213,7 @@ class LatticeSpec:
             group.add(tuple(perm))
         return sorted(group)
 
-    # Kept: benchmarks/run.py computes kernel_evals_per_config from it.
+    # No walk reads it; it goes with num_words (see there).
     def word_neighbor_pairs(self) -> list[tuple[int, int]]:
         """Periodic inter-word bond pairs: the col axis, plus the layer axis in 3D.
 
@@ -231,7 +233,7 @@ class LatticeSpec:
         return pairs
 
 
-# Kept: build_tables returns it.
+# No walk reads it; it goes with build_tables (see there).
 @dataclass(frozen=True, eq=False)
 class KernelTables:
     """Popcount and circular-shift tables for columns of `rows` spins.
@@ -248,7 +250,9 @@ class KernelTables:
     shift_table: np.ndarray = field(repr=False)
 
 
-# Kept: benchmarks/run.py times it as lattice.build_tables_s.
+# No walk calls it.  benchmarks/run.py times it as lattice.build_tables_s,
+# and without it benchmarks/tests' test_command_prints_every_metric
+# [1-per_layer] fails; it goes when that metric does.
 def build_tables(rows: int) -> KernelTables:
     """Precompute the popcount and circular-shift tables for one column height.
 

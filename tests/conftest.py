@@ -22,7 +22,7 @@ DOS_2X2_CELLS = [
 
 def kernel_cell(spec, index):
     """(M, E) of one index from the production kernel: its one-index shard."""
-    cells = enumerate_shard(spec, range(index, index + 1)).cells()
+    cells = enumerate_shard(spec, [(range(index, index + 1), 1)]).cells()
     assert [count for count, _, _ in cells] == [1], (index, cells)
     return cells[0][1:]
 

@@ -66,6 +66,9 @@ def test_validates_arguments():
         run_bench(spec, [1, 0], repeats=1)
     with pytest.raises(ValueError):
         run_bench(spec, [1], repeats=0)
+    for bad in ([True], [1, 2.0]):
+        with pytest.raises(ValueError, match="workers must be positive integers"):
+            run_bench(spec, bad, repeats=1)
 
 
 def test_mismatching_run_is_a_hard_error(monkeypatch):

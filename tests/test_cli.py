@@ -172,6 +172,7 @@ MALFORMED = {
     "csv-spin-count-off-geometry": "# rows=2 cols=2 depth=1 J=1 N=5 B=8 "
                                    "version=1\ncount,M,E\n",
     "json-two-item-cell": '{%s, "J": 1, "cells": [[1, 4]]}' % _HEAD_2X2,
+    "json-top-level-list": "[1, 4, -8]\n",
 }
 
 
@@ -188,6 +189,14 @@ def test_malformed_file_is_parse_error(tmp_path, capsys, command, name):
         path.write_text(content)
     assert run_cli(command[0], str(path), *command[1:]) == 1
     assert capsys.readouterr().err.splitlines()[0].startswith("error: parse:")
+
+
+def test_json_top_level_list_is_read_as_json(tmp_path, capsys):
+    path = tmp_path / "dos.json"
+    path.write_text(MALFORMED["json-top-level-list"])
+    assert run_cli("verify", str(path)) == 1
+    assert capsys.readouterr().err.splitlines()[0] == \
+        "error: parse: line 1: expected a JSON object"
 
 
 def test_verify_missing_file_is_io_error(tmp_path, capsys):

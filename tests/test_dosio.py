@@ -175,10 +175,13 @@ def test_parse_error_nonpositive_count(dos2x2):
 def test_parse_error_invalid_json():
     with pytest.raises(DosFileError):
         parse_dos('{"rows": 2,')
-    # parse_dos reads only text opening with "{" as JSON, so only a direct
-    # parse_dos_json call can meet a top level that is not an object.
+    # Text opening with "[" is JSON too, so a top-level list is reported as
+    # what it is, not as a CSV file missing its header; empty text is still
+    # a CSV file missing its header.
     with pytest.raises(DosFileError, match="expected a JSON object"):
-        parse_dos_json("[1, 4, -8]")
+        parse_dos(" [1, 4, -8]")
+    with pytest.raises(DosFileError, match="expected '# rows="):
+        parse_dos("")
     with pytest.raises(DosFileError, match="cells"):
         parse_dos('{"rows": 2, "cols": 2, "depth": 1, "J": 1, '
                   '"N": 4, "B": 8, "version": 1}')

@@ -29,44 +29,75 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # -- sharding -----------------------------------------------------------------
 
+# 4x4 and 2x2 walk [0, 2^N) whole (w = 0): each shard is one range of
+# weight 1.
+
 def test_make_shards_single():
     spec = LatticeSpec(4, 4)
-    (shard,) = make_shards(spec, 1)
-    assert shard == range(0, 65536)
+    assert make_shards(spec, 1) == [[(range(0, 65536), 1)]]
 
 
 def test_make_shards_equal_quarters():
     spec = LatticeSpec(4, 4)
     shards = make_shards(spec, 4)
-    assert shards == [range(0, 16384), range(16384, 32768),
-                      range(32768, 49152), range(49152, 65536)]
+    assert shards == [[(range(0, 16384), 1)], [(range(16384, 32768), 1)],
+                      [(range(32768, 49152), 1)], [(range(49152, 65536), 1)]]
 
 
 def test_make_shards_near_equal_split():
     spec = LatticeSpec(2, 2)
     shards = make_shards(spec, 3)
-    assert [len(s) for s in shards] == [6, 5, 5]
+    assert [len(r) for ((r, _),) in shards] == [6, 5, 5]
+
+
+def _check_cut(spec, shards):
+    # The shards walk near-equal, contiguous pieces of spec.top_orbits: in
+    # order, the pieces are the walk's ranges, each weight kept.
+    sizes = [sum(len(r) for r, _ in shard) for shard in shards]
+    assert max(sizes) - min(sizes) <= 1
+    merged = []
+    for r, w in (piece for shard in shards for piece in shard):
+        if merged and merged[-1][1] == r.start and merged[-1][2] == w:
+            merged[-1][1] = r.stop
+        else:
+            merged.append([r.start, r.stop, w])
+    assert merged == [[r.start, r.stop, w] for r, w in spec.top_orbits]
+    assert shards == make_shards(spec, len(shards))  # deterministic
 
 
 @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 7, 16])
 def test_make_shards_partition_invariants(num_shards):
     spec = LatticeSpec(2, 2)
     shards = make_shards(spec, num_shards)
-    assert shards[0].start == 0
-    assert shards[-1].stop == spec.num_configs
-    for a, b in zip(shards, shards[1:]):
-        assert a.stop == b.start
-    sizes = [len(s) for s in shards]
-    assert max(sizes) - min(sizes) <= 1
-    assert shards == make_shards(spec, num_shards)  # deterministic
+    assert len(shards) == num_shards
+    _check_cut(spec, shards)
 
 
 def test_make_shards_rejects_out_of_range():
     spec = LatticeSpec(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"num_shards must be in \[1, 2\^4\]"):
         make_shards(spec, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"num_shards must be in \[1, 2\^4\]"):
         make_shards(spec, 17)
+    for bad in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="num_shards must be an integer"):
+            make_shards(spec, bad)
+
+
+def test_one_shard_is_the_orbit_walk_a_serial_walk_runs(monkeypatch):
+    # The benchmark's probe walks make_shards(spec, 1)[0]: on 5x5 that is
+    # the orbit walk, and a serial full_dos walks exactly it.
+    spec = LatticeSpec(5, 5)
+    (shard,) = make_shards(spec, 1)
+    assert shard == list(spec.top_orbits)
+    real, walked = enumeration.enumerate_shard, []
+
+    def walk(spec_, shard_):
+        walked.append(shard_)
+        return real(spec_, shard_)
+    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
+    full_dos_timed(spec, workers=1)
+    assert walked == [shard]
 
 
 # -- shard enumeration -----------------------------------------------------------
@@ -80,8 +111,7 @@ def test_enumerate_full_range_2x2():
 
 def test_enumerate_empty_shard():
     spec = LatticeSpec(2, 2)
-    empty = range(5, 5)
-    dos = enumerate_shard(spec, empty)
+    dos = enumerate_shard(spec, [(range(5, 5), 1)])
     assert dos.total() == 0
     assert not np.any(dos.counts)
 
@@ -92,7 +122,7 @@ def test_enumerate_touches_each_index_once():
     spec = LatticeSpec(3, 3)
     for shard in make_shards(spec, 5):
         part = enumerate_shard(spec, shard)
-        assert part.total() == len(shard)
+        assert part.total() == sum(len(r) for r, _ in shard)
 
 
 def test_enumerate_rejects_bad_shard():
@@ -100,7 +130,11 @@ def test_enumerate_rejects_bad_shard():
     # Past the end, then two stepped ranges.
     for bad in (range(0, 17), range(0, 16, 2), range(15, -1, -1)):
         with pytest.raises(ValueError, match="invalid"):
-            enumerate_shard(spec, bad)
+            enumerate_shard(spec, [(bad, 1)])
+    # Weights that are not positive ints.
+    for weight in (0, -1, 2.0, True):
+        with pytest.raises(ValueError, match="invalid"):
+            enumerate_shard(spec, [(range(0, 16), weight)])
 
 
 def _oracle_slice(spec, shard):
@@ -117,7 +151,7 @@ def test_enumerate_tall_columns_without_tables():
     # configuration by configuration against the naive engine.
     spec = LatticeSpec(17, 2)
     shard = range(123456, 123456 + 4096)
-    dos = enumerate_shard(spec, shard)
+    dos = enumerate_shard(spec, [(shard, 1)])
     assert dos.total() == 4096
     assert dos == _oracle_slice(spec, shard)
 
@@ -135,15 +169,15 @@ def test_enumerate_top_slice_matches_oracle(monkeypatch, dims, coupling,
     start = spec.num_configs - 5 * (1 << BLOCK_BITS) - 2000
     shard = range(start, start + 4096)
     monkeypatch.setattr(enumeration, "BLOCK_BITS", block_bits)
-    dos = enumerate_shard(spec, shard)
+    dos = enumerate_shard(spec, [(shard, 1)])
     assert dos.total() == 4096
     assert dos == _oracle_slice(spec, shard)
     # Cut 3 indices past a block boundary inside the slice: the pieces
     # still add up to the same histogram.
     size = 1 << block_bits
     cut = (start + 2048) // size * size + 3
-    head = enumerate_shard(spec, range(start, cut))
-    tail = enumerate_shard(spec, range(cut, shard.stop))
+    head = enumerate_shard(spec, [(range(start, cut), 1)])
+    tail = enumerate_shard(spec, [(range(cut, shard.stop), 1)])
     assert merge([head, tail]) == dos
 
 
@@ -166,7 +200,7 @@ def test_whole_walk_bins_each_boundary_class_once(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(np, "bincount", bincount)
     spec = LatticeSpec(5, 5)
-    enumerate_shard(spec, make_shards(spec, 1)[0])
+    enumerate_shard(spec, [(range(spec.num_configs), 1)])
     assert len(calls) == 1024
     # The orbit walk: 8 top ranges of 2^20, each binning its 32 classes.
     del calls[:]
@@ -195,8 +229,8 @@ def test_enumerate_full_range_matches_oracle(monkeypatch, dims, coupling,
         # still add up to the same histogram.
         size = 1 << min(bits, n)
         cut = spec.num_configs // 2 // size * size + 3
-        head = enumerate_shard(spec, range(0, cut))
-        tail = enumerate_shard(spec, range(cut, spec.num_configs))
+        head = enumerate_shard(spec, [(range(0, cut), 1)])
+        tail = enumerate_shard(spec, [(range(cut, spec.num_configs), 1)])
         assert merge([head, tail]) == dos
 
 
@@ -214,22 +248,22 @@ def test_orbit_walk_matches_oracle(dims, coupling, ws, oracle_dos):
     spec = LatticeSpec(*dims, coupling=coupling)
     expected = oracle_dos(spec)
     for w in ws:
-        assert enumeration._walk(spec, spec._orbit_walk(w)) == expected, w
+        assert enumerate_shard(spec, spec._orbit_walk(w)) == expected, w
 
 
 # 24 spins, past what the oracle walks in a test: against the plain walk.
 @pytest.mark.parametrize("dims", [(4, 6, 1), (2, 2, 6)])
 def test_orbit_walk_matches_plain_walk(dims):
     spec = LatticeSpec(*dims, coupling=-1)
-    plain = enumerate_shard(spec, range(spec.num_configs))
+    plain = enumerate_shard(spec, [(range(spec.num_configs), 1)])
     for w in (1, 2):
-        assert enumeration._walk(spec, spec._orbit_walk(w)) == plain, w
+        assert enumerate_shard(spec, spec._orbit_walk(w)) == plain, w
 
 
 @pytest.fixture(scope="module")
 def plain5x5():
     spec = LatticeSpec(5, 5)
-    return enumerate_shard(spec, range(spec.num_configs))
+    return enumerate_shard(spec, [(range(spec.num_configs), 1)])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -241,21 +275,11 @@ def test_sharded_orbit_walk_is_bit_identical(plain5x5, workers):
 @pytest.mark.parametrize("dims", [(5, 5, 1), (2, 2, 6), (4, 4, 1)])
 def test_workers_walk_near_equal_pieces_of_the_orbit_walk(dims):
     spec = LatticeSpec(*dims)
-    walk = spec.top_orbits
     for workers in range(1, 17):
-        pieces = enumeration._deal(walk, workers)
-        sizes = [sum(len(r) for r, _ in piece) for piece in pieces]
-        assert len(pieces) == workers and max(sizes) - min(sizes) <= 1
-        # In order, the pieces are the walk's ranges, each weight kept.
-        joined = [(r.start, r.stop, w) for piece in pieces for r, w in piece]
-        merged = []
-        for lo, hi, w in joined:
-            if merged and merged[-1][1] == lo and merged[-1][2] == w:
-                merged[-1][1] = hi
-            else:
-                merged.append([lo, hi, w])
-        assert merged == [[r.start, r.stop, w] for r, w in walk]
-        if len(walk) == 1:  # w = 0: the plain walk's layout
+        pieces = make_shards(spec, workers)
+        assert len(pieces) == workers
+        _check_cut(spec, pieces)
+        if len(spec.top_orbits) == 1:  # w = 0: the plain walk's layout
             base, extra = divmod(spec.num_configs, workers)
             cuts = [i * base + min(i, extra) for i in range(workers + 1)]
             assert pieces == [[(range(lo, hi), 1)]
@@ -263,7 +287,7 @@ def test_workers_walk_near_equal_pieces_of_the_orbit_walk(dims):
 
 
 def test_two_workers_walk_four_five_by_five_ranges_each():
-    pieces = enumeration._deal(LatticeSpec(5, 5).top_orbits, 2)
+    pieces = make_shards(LatticeSpec(5, 5), 2)
     assert [[w for _, w in piece] for piece in pieces] == [[1, 5, 5, 5],
                                                            [5, 5, 5, 1]]
 
@@ -389,7 +413,7 @@ def test_energy_grid_counts_anti_aligned_bonds_for_negative_coupling():
     # bond and sit in column B; column B - 1 holds one anti-aligned bond.
     spec = LatticeSpec(3, 3, 3, coupling=-1)
     b = spec.num_bonds
-    assert enumerate_shard(spec, range(0, 1)).counts[0, b] == 1
+    assert enumerate_shard(spec, [(range(0, 1), 1)]).counts[0, b] == 1
     dos = DoSHistogram(spec)
     dos.counts[[0, -1], b] = 1
     assert "energy-grid" not in verify_dos(dos).failed_names()
@@ -429,6 +453,9 @@ def test_full_dos_rejects_bad_workers(spec4x4):
         full_dos(spec4x4, workers=0)
     with pytest.raises(ValueError, match=r"workers must be in \[1, 2\^16\]"):
         full_dos(spec4x4, workers=2 ** 16 + 1)
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            full_dos(spec4x4, workers=bad)
 
 
 @pytest.fixture
@@ -449,14 +476,15 @@ forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 
 
 def _second_shard_fails(monkeypatch, fail):
-    # A worker walks its shard's (range, weight) pieces with one _walk call.
-    real = enumeration._walk
+    # A worker walks its shard's (range, weight) pieces with one
+    # enumerate_shard call.
+    real = enumeration.enumerate_shard
 
     def walk(spec, pieces):
         if pieces[0][0].start:
             fail()
         return real(spec, pieces)
-    monkeypatch.setattr(enumeration, "_walk", walk)
+    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
 
 
 @forked
@@ -522,14 +550,14 @@ def test_worker_that_dies_silently_raises(monkeypatch, spec4x4, deadline):
 @forked
 def test_table_cells_past_int32_come_back_exact(monkeypatch, spec4x4, dos4x4,
                                                 deadline):
-    real = enumeration._walk
+    real = enumeration.enumerate_shard
 
     def walk(spec, pieces):
         hist = real(spec, pieces)
         if pieces[0][0].start:
             hist.counts[0, 0] += 2**40 + 1
         return hist
-    monkeypatch.setattr(enumeration, "_walk", walk)
+    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
     expected = dos4x4.counts.copy()
     expected[0, 0] += 2**40 + 1
     assert np.array_equal(full_dos(spec4x4, workers=2).counts, expected)

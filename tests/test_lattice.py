@@ -146,7 +146,7 @@ def test_top_symmetries_keep_each_top_range_table(dims, w):
     group = spec._top_group(w)
     bits = len(group[0])
     low = spec.num_spins - bits
-    tables = [enumerate_shard(spec, range(t << low, (t + 1) << low))
+    tables = [enumerate_shard(spec, [(range(t << low, (t + 1) << low), 1)])
               for t in range(1 << bits)]
     for perm in group:
         assert sorted(perm) == list(range(bits))
@@ -211,7 +211,7 @@ def test_decode_rejects_out_of_range():
         with pytest.raises(ValueError, match="outside"):
             decode_spins(spec, index)
         with pytest.raises(ValueError, match="invalid"):
-            enumerate_shard(spec, range(index, index + 1))
+            enumerate_shard(spec, [(range(index, index + 1), 1)])
 
 
 # -- spin excess ---------------------------------------------------------------

@@ -78,9 +78,13 @@ MUTANTS = {
         [(WALK, "support = [np.uint64(r) for r in",
           "support = [np.uint64(WORD) for r in")]),
     "deal-extra-to-last": (
-        "the cut gives its extra indices to the last shards, not the first",
+        "make_shards gives its extra indices to the last shards, not the first",
         [(WALK, "want = [], base + (i < extra)",
-          "want = [], base + (i >= workers - extra)")]),
+          "want = [], base + (i >= num_shards - extra)")]),
+    "range-weight-dropped": (
+        "enumerate_shard adds each range's table with weight 1",
+        [(WALK, "total += flat if weight == 1 else weight * flat",
+          "total += flat")]),
 }
 
 
