@@ -3,10 +3,11 @@
 
 The walk, one range of the top bits per symmetry orbit of the top column,
 each weighted by the orbit's size, splits in order into near-equal shards of
-(range, weight) pairs, one per worker process; each partial histogram is an
-exact integer table, so the merged result is bit-identical no matter how
-many workers ran.  The short benchmark at the end rechecks that while
-measuring wall times.
+(range, weight) pairs, one per worker: the caller walks shard 0 and a forked
+process each other shard.  Each partial histogram is an exact integer
+table, so the merged result is bit-identical no matter how many workers
+ran.  The short benchmark at the end rechecks that while measuring wall
+times.
 """
 
 import sys

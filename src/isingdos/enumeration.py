@@ -18,11 +18,12 @@ and each chunk of bases bins each of its classes once.  Each range's table
 is multiplied by its weight once, after its walk.  Counts are exact
 integers and `merge` adds the shard tables elementwise, so the total is
 bit-identical for any shard count or merge order.  With several workers,
-each shard runs in a forked process of its own, at most one per usable CPU
-alive at a time, that pipes back one message: its walk's seconds as a
-float64, then its bare int64 table in C order, which the caller rebuilds
-against its own spec.  Only a failed walk's exception and traceback are
-pickled."""
+the caller walks shard 0 itself, as rank 0 of an MPI program does, and
+each other shard runs in a forked process of its own, at most one per
+usable CPU but the caller's alive at a time.  A worker pipes back one
+message: its walk's seconds as a float64, then its bare int64 table in C
+order, which the caller rebuilds against its own spec.  Only a failed
+walk's exception and traceback are pickled."""
 
 import os
 import pickle
@@ -230,16 +231,19 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     """Complete density of states plus timing.
 
     make_shards cuts the walk, spec.top_orbits, into one shard per worker,
-    and enumerate_shard walks each.  With more than one worker, each shard
-    runs in its own process, started for this call; at most
-    available_parallelism() run at a time, however many shards `workers`
-    asks for.  An exception in a worker is raised here, its traceback
-    chained as a RemoteTraceback; a worker that exits without replying, or
+    and enumerate_shard walks each.  With more than one worker, the caller
+    walks shard 0 and each other shard runs in its own process, started
+    for this call, so `workers` W starts W - 1 processes; at most
+    max(1, available_parallelism() - 1) of them run at a time, however many
+    shards `workers` asks for.  An exception in the caller's own walk is
+    raised as it is; only a worker's exception is raised with its traceback
+    chained as a RemoteTraceback.  A worker that exits without replying, or
     replies with a table of the wrong size, raises RuntimeError.
 
     Returns:
         (histogram, wall_seconds, per_worker_seconds) where the per-worker
-        list holds each worker's own enumeration interval.
+        list holds each shard's own enumeration interval, the caller's
+        walk of shard 0 first.
     """
     if workers is None:
         # Auto mode walks a lattice of at most one block serially.
@@ -258,10 +262,12 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
 
 
 def _run_shards(spec, shards):
-    """(histogram, seconds) of each shard, each walked in a process of its own.
+    """(histogram, seconds) of each shard: shard 0 walked here, each other forked.
 
-    At most available_parallelism() workers are alive at a time; the next
-    shard starts when a worker's reply has been read and the worker joined.
+    The first workers start before the caller walks shard 0.  At most
+    max(1, available_parallelism() - 1) workers are alive besides the
+    caller; the next shard starts when a worker's reply has been read and
+    the worker joined.
     """
     # Imported here: a serial walk never loads multiprocessing (~0.5 MB).
     from multiprocessing import Pipe, Process
@@ -270,7 +276,9 @@ def _run_shards(spec, shards):
     shape = spec.num_spins + 1, spec.num_bonds + 1
     size = 8 + 8 * shape[0] * shape[1]
     results = [None] * len(shards)
-    slots, todo, pending = available_parallelism(), iter(enumerate(shards)), {}
+    # The caller walks shard 0, so one CPU fewer is left for workers.
+    slots = max(1, available_parallelism() - 1)
+    todo, pending = islice(enumerate(shards), 1, None), {}
     try:
         while True:
             for i, shard in islice(todo, slots - len(pending)):
@@ -281,6 +289,10 @@ def _run_shards(spec, shards):
                 # Only the worker holds the sending end, so its exit ends the pipe.
                 with send:
                     proc.start()
+            if results[0] is None:  # the first workers run: walk shard 0 here
+                t0 = time.perf_counter()
+                hist = enumerate_shard(spec, shards[0])
+                results[0] = hist, time.perf_counter() - t0
             if not pending:
                 return results
             for recv in wait(list(pending)):
@@ -319,6 +331,6 @@ def _run_shards(spec, shards):
 
 
 def full_dos(spec: LatticeSpec, workers: int | None = None) -> DoSHistogram:
-    """Complete density of states using `workers` parallel shard processes."""
+    """Complete density of states: the caller and `workers` - 1 shard processes."""
     hist, _, _ = full_dos_timed(spec, workers)
     return hist

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import signal
@@ -272,6 +273,18 @@ def test_sharded_orbit_walk_is_bit_identical(plain5x5, workers):
     assert np.array_equal(dos.counts, plain5x5.counts)
 
 
+def test_tables_keep_their_digest_at_every_worker_count():
+    # One SHA-256 over the int64 tables in this order: no worker count and
+    # no change to the driver may move a single count.
+    digest = hashlib.sha256()
+    for spec in (LatticeSpec(5, 5), LatticeSpec(4, 6),
+                 LatticeSpec(2, 2, 6, coupling=-1), LatticeSpec(4, 4)):
+        for workers in (1, 2, 3, 5):
+            digest.update(full_dos(spec, workers=workers).counts.tobytes())
+    assert digest.hexdigest() == ("c696742c0f53323f2afba71e314b82cb"
+                                  "a4a324138eb5545a810876c8c8d2a24e")
+
+
 @pytest.mark.parametrize("dims", [(5, 5, 1), (2, 2, 6), (4, 4, 1)])
 def test_workers_walk_near_equal_pieces_of_the_orbit_walk(dims):
     spec = LatticeSpec(*dims)
@@ -519,6 +532,7 @@ def test_worker_exception_that_cannot_be_rebuilt(monkeypatch, spec4x4, deadline)
 
 
 def test_failed_start_closes_every_pipe(monkeypatch, spec4x4, deadline):
+    # Three usable CPUs: two workers start besides the caller, the second fails.
     pipes = []
 
     def pipe(duplex):
@@ -533,8 +547,9 @@ def test_failed_start_closes_every_pipe(monkeypatch, spec4x4, deadline):
     real_pipe, real_start = multiprocessing.Pipe, multiprocessing.Process.start
     monkeypatch.setattr(multiprocessing, "Pipe", pipe)
     monkeypatch.setattr(multiprocessing.Process, "start", start)
+    monkeypatch.setattr(enumeration, "available_parallelism", lambda: 3)
     with pytest.raises(OSError, match="no more processes"):
-        full_dos(spec4x4, workers=2)
+        full_dos(spec4x4, workers=3)
     assert len(pipes) == 4 and all(end.closed for end in pipes)
     assert multiprocessing.active_children() == []
 
@@ -583,7 +598,8 @@ def test_reply_of_the_wrong_length_raises(monkeypatch, spec4x4, deadline):
 @forked
 def test_live_workers_never_exceed_usable_cpus(monkeypatch, spec4x4, dos4x4,
                                                deadline):
-    # Five shards on two slots: each start finds at most one other worker.
+    # Five shards, three usable CPUs, one of them the caller's: shards 1-4
+    # are forked, and each start finds at most one other worker.
     real_worker, real_start = enumeration._shard_worker, multiprocessing.Process.start
     others = []
 
@@ -594,12 +610,49 @@ def test_live_workers_never_exceed_usable_cpus(monkeypatch, spec4x4, dos4x4,
     def start(proc):
         others.append(len(multiprocessing.active_children()))
         real_start(proc)
-    monkeypatch.setattr(enumeration, "available_parallelism", lambda: 2)
+    monkeypatch.setattr(enumeration, "available_parallelism", lambda: 3)
     monkeypatch.setattr(enumeration, "_shard_worker", worker)
     monkeypatch.setattr(multiprocessing.Process, "start", start)
     hist, _, per_worker = full_dos_timed(spec4x4, workers=5)
     assert hist == dos4x4 and len(per_worker) == 5
-    assert len(others) == 5 and max(others) <= 1, others
+    assert len(others) == 4 and max(others) <= 3 - 2, others
+
+
+def test_caller_walks_shard_0_and_forks_one_process_per_other_shard(
+        monkeypatch, plain5x5):
+    spec = LatticeSpec(5, 5)
+    real_walk, real_start = enumeration.enumerate_shard, multiprocessing.Process.start
+    walks, starts = [], []
+
+    def walk(spec, pieces):
+        # A forked worker appends to its own copy of the list.
+        walks.append((os.getpid(), pieces))
+        return real_walk(spec, pieces)
+
+    def start(proc):
+        starts.append(proc)
+        real_start(proc)
+    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
+    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    for calls in (1, 2):
+        hist, _, per_worker = full_dos_timed(spec, workers=2)
+        assert hist == plain5x5 and len(per_worker) == 2
+        assert len(starts) == calls
+    assert walks == [(os.getpid(), make_shards(spec, 2)[0])] * 2
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
+def test_caller_walk_failure_is_raised_as_is_and_stops_the_workers(
+        monkeypatch, spec4x4, deadline, error):
+    def walk(spec, pieces):
+        if pieces[0][0].start:  # a forked worker: it would outlive the test
+            time.sleep(120)
+        raise error("caller walk failed")
+    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
+    with pytest.raises(error, match="caller walk failed") as caught:
+        full_dos(spec4x4, workers=2)
+    assert caught.value.__cause__ is None and caught.value.__context__ is None
+    assert multiprocessing.active_children() == []
 
 
 def test_serial_walk_never_imports_multiprocessing():

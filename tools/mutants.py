@@ -85,6 +85,14 @@ MUTANTS = {
         "enumerate_shard adds each range's table with weight 1",
         [(WALK, "total += flat if weight == 1 else weight * flat",
           "total += flat")]),
+    "caller-walks-shard-1": (
+        "the caller walks shard 1 instead of shard 0",
+        [(WALK, "                hist = enumerate_shard(spec, shards[0])\n",
+          "                hist = enumerate_shard(spec, shards[1])\n")]),
+    "caller-failure-orphans-worker": (
+        "the driver's finally no longer terminates started workers",
+        [(WALK, "                proc.terminate()\n                proc.join()\n",
+          "                pass\n")]),
 }
 
 
@@ -149,7 +157,7 @@ def main(argv=None):
     if failed:
         return 1
     survivors = 0
-    print(f"{'mutant':28} {'killed':6} {'s':>4}  first failing test")
+    print(f"{'mutant':30} {'killed':6} {'s':>4}  first failing test")
     for name in args.names or MUTANTS:
         what, patches = MUTANTS[name]
         try:
@@ -158,7 +166,7 @@ def main(argv=None):
             print(f"error: {exc}", file=sys.stderr)
             return 1
         survivors += not killed
-        print(f"{name:28} {'yes' if killed else 'NO':6} {seconds:4.0f}  "
+        print(f"{name:30} {'yes' if killed else 'NO':6} {seconds:4.0f}  "
               f"{first or '-'}  ({what})", flush=True)
     return 1 if survivors else 0
 
