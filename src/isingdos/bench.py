@@ -46,8 +46,8 @@ def run_bench(spec: LatticeSpec, worker_counts, repeats: int = 3) -> list[BenchR
         raise ValueError("worker_counts must be nonempty")
     if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in counts):
         raise ValueError(f"workers must be positive integers, got {counts}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if isinstance(repeats, bool) or not isinstance(repeats, int) or repeats < 1:
+        raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
 
     serial = [full_dos_timed(spec, workers=1)
               for _ in range(repeats if 1 in counts else 1)]

@@ -16,21 +16,20 @@ Blocks whose bases agree on those bonds form a boundary class (multi-spin
 coding, Jacobs & Rebbi 1981, cut once like Beale's 1996 transfer matrix),
 and each chunk of bases bins each of its classes once.  Each range's table
 is multiplied by its weight once, after its walk.  Counts are exact
-integers and `merge` adds the shard tables elementwise, so the total is
-bit-identical for any shard count or merge order.  With several workers,
-the caller walks shard 0 itself, as rank 0 of an MPI program does, and
-each other shard runs in a forked process of its own, at most one per
-usable CPU but the caller's alive at a time.  A worker pipes back one
-message: its walk's seconds as a float64, then its bare int64 table in C
-order, which the caller rebuilds against its own spec.  Only a failed
-walk's exception and traceback are pickled."""
+integers and the shard tables add elementwise, so the total is
+bit-identical for any shard count or order of addition.  Like the fixed
+ranks of an MPI program, at most one walker per usable CPU takes every
+walkers-th shard; the caller is walker 0, as rank 0 is, and each other
+walker is a forked process.  A worker pipes back one message: each walk's
+seconds as a float64, then the bare int64 sum of its tables in C order,
+which the caller adds to its own.  Only a failed walk's exception and
+traceback are pickled."""
 
 import os
 import pickle
 import struct
 import time
 from collections import Counter
-from itertools import islice
 
 import numpy as np
 
@@ -204,17 +203,26 @@ class RemoteTraceback(Exception):
     """The formatted traceback of an exception raised in a shard worker."""
 
 
-def _shard_worker(spec, shard, conn):
-    # Walks the shard's (range, weight) pairs in its own process.  Replies
-    # with one message: the walk's seconds as a float64, then its table's
-    # int64 counts in C order.  No other numpy call: a forked worker pays
-    # RSS for each code path it is first to touch, ~0.4 MB to pickle a
-    # histogram.  If the walk raised, an empty message, then (the pickled
-    # exception, or None if it does not pickle, and its formatted traceback).
-    try:
+def _walk(spec, shards):
+    # The summed int64 counts of the shards' tables and each walk's seconds.
+    counts, seconds = 0, []
+    for shard in shards:
         t0 = time.perf_counter()
-        counts = enumerate_shard(spec, shard).counts
-        conn.send_bytes(struct.pack("d", time.perf_counter() - t0)
+        counts = counts + enumerate_shard(spec, shard).counts
+        seconds.append(time.perf_counter() - t0)
+    return counts, seconds
+
+
+def _shard_worker(spec, shards, conn):
+    # Walks its shards in its own process.  Replies with one message: each
+    # walk's seconds as a float64, then the int64 counts of their summed
+    # table in C order.  No other numpy call: a forked worker pays RSS for
+    # each code path it is first to touch, ~0.4 MB to pickle a histogram.
+    # If a walk raised, an empty message, then (the pickled exception, or
+    # None if it does not pickle, and its formatted traceback).
+    try:
+        counts, seconds = _walk(spec, shards)
+        conn.send_bytes(struct.pack(f"{len(seconds)}d", *seconds)
                         + counts.tobytes())
     except Exception as exc:
         import traceback  # only a failed walk needs it
@@ -231,19 +239,19 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     """Complete density of states plus timing.
 
     make_shards cuts the walk, spec.top_orbits, into one shard per worker,
-    and enumerate_shard walks each.  With more than one worker, the caller
-    walks shard 0 and each other shard runs in its own process, started
-    for this call, so `workers` W starts W - 1 processes; at most
-    max(1, available_parallelism() - 1) of them run at a time, however many
-    shards `workers` asks for.  An exception in the caller's own walk is
-    raised as it is; only a worker's exception is raised with its traceback
-    chained as a RemoteTraceback.  A worker that exits without replying, or
-    replies with a table of the wrong size, raises RuntimeError.
+    and enumerate_shard walks each.  min(workers, available_parallelism())
+    walkers take every walkers-th shard: walker j walks shards j, j +
+    walkers, ...  The caller is walker 0, and each other walker is a
+    process started for this call before the caller walks, so `workers` W
+    starts min(W, P) - 1 processes on P usable CPUs.  An exception in the
+    caller's own walk is raised as it is; only a worker's exception is
+    raised with its traceback chained as a RemoteTraceback.  A worker that
+    exits without replying, or replies with a message of the wrong size,
+    raises RuntimeError.
 
     Returns:
         (histogram, wall_seconds, per_worker_seconds) where the per-worker
-        list holds each shard's own enumeration interval, the caller's
-        walk of shard 0 first.
+        list holds each shard's own enumeration interval, in shard order.
     """
     if workers is None:
         # Auto mode walks a lattice of at most one block serially.
@@ -251,86 +259,65 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
                    if spec.num_configs > 1 << BLOCK_BITS else 1)
     _check_count("workers", workers, spec)
     shards = make_shards(spec, workers)
-    t0 = time.perf_counter()
-    if workers == 1:
-        hist = enumerate_shard(spec, shards[0])
-        results = [(hist, time.perf_counter() - t0)]
-    else:
-        results = _run_shards(spec, shards)
-    wall = time.perf_counter() - t0
-    return merge(hist for hist, _ in results), wall, [secs for _, secs in results]
-
-
-def _run_shards(spec, shards):
-    """(histogram, seconds) of each shard: shard 0 walked here, each other forked.
-
-    The first workers start before the caller walks shard 0.  At most
-    max(1, available_parallelism() - 1) workers are alive besides the
-    caller; the next shard starts when a worker's reply has been read and
-    the worker joined.
-    """
-    # Imported here: a serial walk never loads multiprocessing (~0.5 MB).
-    from multiprocessing import Pipe, Process
-    from multiprocessing.connection import wait
-
+    walkers = min(workers, available_parallelism())
     shape = spec.num_spins + 1, spec.num_bonds + 1
-    size = 8 + 8 * shape[0] * shape[1]
-    results = [None] * len(shards)
-    # The caller walks shard 0, so one CPU fewer is left for workers.
-    slots = max(1, available_parallelism() - 1)
-    todo, pending = islice(enumerate(shards), 1, None), {}
+    seconds, pending = [None] * workers, {}
+    t0 = time.perf_counter()
     try:
-        while True:
-            for i, shard in islice(todo, slots - len(pending)):
+        if walkers > 1:
+            # Imported here: a serial walk never loads multiprocessing (~0.5 MB).
+            from multiprocessing import Pipe, Process
+            from multiprocessing.connection import wait
+            for j in range(1, walkers):
                 recv, send = Pipe(duplex=False)
-                proc = Process(target=_shard_worker, args=(spec, shard, send),
-                               daemon=True)
-                pending[recv] = i, proc
+                proc = Process(target=_shard_worker,
+                               args=(spec, shards[j::walkers], send), daemon=True)
+                pending[recv] = j, proc
                 # Only the worker holds the sending end, so its exit ends the pipe.
                 with send:
                     proc.start()
-            if results[0] is None:  # the first workers run: walk shard 0 here
-                t0 = time.perf_counter()
-                hist = enumerate_shard(spec, shards[0])
-                results[0] = hist, time.perf_counter() - t0
-            if not pending:
-                return results
+        counts, seconds[::walkers] = _walk(spec, shards[::walkers])
+        while pending:
             for recv in wait(list(pending)):
                 try:
                     reply = recv.recv_bytes()
                     failure = None if reply else recv.recv()
                 except EOFError:
                     reply = None
-                i, proc = pending.pop(recv)
+                j, proc = pending.pop(recv)
                 recv.close()
                 proc.join()
                 if reply is None:
-                    raise RuntimeError(f"shard worker {i} exited with code "
+                    raise RuntimeError(f"shard worker {j} exited with code "
                                        f"{proc.exitcode} without a result")
-                if failure is not None:  # the walk raised
+                if failure is not None:  # a walk raised
                     pickled, detail = failure
                     try:
                         exc = pickle.loads(pickled)
                     except Exception:
-                        exc = RuntimeError(f"shard worker {i} raised an "
+                        exc = RuntimeError(f"shard worker {j} raised an "
                                            f"exception that cannot be rebuilt")
                     raise exc from RemoteTraceback(detail)
+                walked = len(shards[j::walkers])
+                size = 8 * walked + 8 * shape[0] * shape[1]
                 if len(reply) != size:
-                    raise RuntimeError(f"shard worker {i} replied {len(reply)} "
-                                       f"bytes, not the {size} of a {shape} "
-                                       f"table")
-                (seconds,) = struct.unpack_from("d", reply)
-                counts = np.frombuffer(reply, np.int64, offset=8).reshape(shape)
-                results[i] = DoSHistogram(spec, counts), seconds
+                    raise RuntimeError(f"shard worker {j} replied {len(reply)} "
+                                       f"bytes, not the {size} of {walked} "
+                                       f"float64 and a {shape} table")
+                seconds[j::walkers] = struct.unpack_from(f"{walked}d", reply)
+                counts = counts + np.frombuffer(
+                    reply, np.int64, offset=8 * walked).reshape(shape)
     finally:
         for recv, (_, proc) in pending.items():
             recv.close()
             if proc.pid is not None:  # started
                 proc.terminate()
                 proc.join()
+    wall = time.perf_counter() - t0
+    return DoSHistogram(spec, counts), wall, seconds
 
 
 def full_dos(spec: LatticeSpec, workers: int | None = None) -> DoSHistogram:
-    """Complete density of states: the caller and `workers` - 1 shard processes."""
+    """Complete density of states: full_dos_timed without the timing."""
     hist, _, _ = full_dos_timed(spec, workers)
     return hist

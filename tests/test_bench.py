@@ -64,8 +64,9 @@ def test_validates_arguments():
         run_bench(spec, [], repeats=1)
     with pytest.raises(ValueError):
         run_bench(spec, [1, 0], repeats=1)
-    with pytest.raises(ValueError):
-        run_bench(spec, [1], repeats=0)
+    for bad in (0, 2.0, "2", True):
+        with pytest.raises(ValueError, match="repeats must be a positive integer"):
+            run_bench(spec, [1], repeats=bad)
     for bad in ([True], [1, 2.0]):
         with pytest.raises(ValueError, match="workers must be positive integers"):
             run_bench(spec, bad, repeats=1)

@@ -442,7 +442,13 @@ def test_verify_fails_zero_histogram():
 
 # -- parallel driver ---------------------------------------------------------------
 
-def test_full_dos_timed_reports_workers(spec4x4, dos4x4):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # Two usable CPUs on any host: workers=2 forks one worker.
+    monkeypatch.setattr(enumeration, "available_parallelism", lambda: 2)
+
+
+def test_full_dos_timed_reports_workers(spec4x4, dos4x4, two_cpus):
     hist, wall, per_worker = full_dos_timed(spec4x4, workers=2)
     assert hist == dos4x4
     assert wall > 0
@@ -501,7 +507,8 @@ def _second_shard_fails(monkeypatch, fail):
 
 
 @forked
-def test_worker_exception_reaches_the_caller(monkeypatch, spec4x4, deadline):
+def test_worker_exception_reaches_the_caller(monkeypatch, spec4x4, deadline,
+                                             two_cpus):
     def fail():
         raise ArithmeticError("shard walk failed")
     _second_shard_fails(monkeypatch, fail)
@@ -521,7 +528,8 @@ class TwoPartError(Exception):
 
 
 @forked
-def test_worker_exception_that_cannot_be_rebuilt(monkeypatch, spec4x4, deadline):
+def test_worker_exception_that_cannot_be_rebuilt(monkeypatch, spec4x4, deadline,
+                                                 two_cpus):
     def fail():
         raise TwoPartError("shard", "walk failed")
     _second_shard_fails(monkeypatch, fail)
@@ -555,7 +563,8 @@ def test_failed_start_closes_every_pipe(monkeypatch, spec4x4, deadline):
 
 
 @forked
-def test_worker_that_dies_silently_raises(monkeypatch, spec4x4, deadline):
+def test_worker_that_dies_silently_raises(monkeypatch, spec4x4, deadline,
+                                          two_cpus):
     _second_shard_fails(monkeypatch, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="shard worker 1 exited with code 3"):
         full_dos(spec4x4, workers=2)
@@ -564,7 +573,7 @@ def test_worker_that_dies_silently_raises(monkeypatch, spec4x4, deadline):
 
 @forked
 def test_table_cells_past_int32_come_back_exact(monkeypatch, spec4x4, dos4x4,
-                                                deadline):
+                                                deadline, two_cpus):
     real = enumeration.enumerate_shard
 
     def walk(spec, pieces):
@@ -580,15 +589,16 @@ def test_table_cells_past_int32_come_back_exact(monkeypatch, spec4x4, dos4x4,
 
 
 @forked
-def test_reply_of_the_wrong_length_raises(monkeypatch, spec4x4, deadline):
+def test_reply_of_the_wrong_length_raises(monkeypatch, spec4x4, deadline,
+                                          two_cpus):
     real = enumeration._shard_worker
 
-    def worker(spec, shard, conn):
-        if shard[0][0].start:
+    def worker(spec, shards, conn):
+        if shards[0][0][0].start:
             conn.send_bytes(bytes(16))
             conn.close()
         else:
-            real(spec, shard, conn)
+            real(spec, shards, conn)
     monkeypatch.setattr(enumeration, "_shard_worker", worker)
     with pytest.raises(RuntimeError, match="shard worker 1 replied 16 bytes"):
         full_dos(spec4x4, workers=2)
@@ -598,14 +608,15 @@ def test_reply_of_the_wrong_length_raises(monkeypatch, spec4x4, deadline):
 @forked
 def test_live_workers_never_exceed_usable_cpus(monkeypatch, spec4x4, dos4x4,
                                                deadline):
-    # Five shards, three usable CPUs, one of them the caller's: shards 1-4
-    # are forked, and each start finds at most one other worker.
+    # Five shards, three usable CPUs: the caller walks shards 0 and 3, and
+    # two forked walkers take 1 and 4, and 2; each start finds at most the
+    # other worker alive.
     real_worker, real_start = enumeration._shard_worker, multiprocessing.Process.start
     others = []
 
-    def worker(spec, shard, conn):
+    def worker(spec, shards, conn):
         time.sleep(0.2)
-        real_worker(spec, shard, conn)
+        real_worker(spec, shards, conn)
 
     def start(proc):
         others.append(len(multiprocessing.active_children()))
@@ -615,11 +626,11 @@ def test_live_workers_never_exceed_usable_cpus(monkeypatch, spec4x4, dos4x4,
     monkeypatch.setattr(multiprocessing.Process, "start", start)
     hist, _, per_worker = full_dos_timed(spec4x4, workers=5)
     assert hist == dos4x4 and len(per_worker) == 5
-    assert len(others) == 4 and max(others) <= 3 - 2, others
+    assert len(others) == 2 and max(others) <= 1, others
 
 
 def test_caller_walks_shard_0_and_forks_one_process_per_other_shard(
-        monkeypatch, plain5x5):
+        monkeypatch, plain5x5, two_cpus):
     spec = LatticeSpec(5, 5)
     real_walk, real_start = enumeration.enumerate_shard, multiprocessing.Process.start
     walks, starts = [], []
@@ -641,9 +652,42 @@ def test_caller_walks_shard_0_and_forks_one_process_per_other_shard(
     assert walks == [(os.getpid(), make_shards(spec, 2)[0])] * 2
 
 
+def test_more_workers_than_cpus_fork_one_walker_per_other_cpu(
+        monkeypatch, spec4x4, dos4x4, deadline, two_cpus):
+    # Five shards on two usable CPUs: one process walks shards 1 and 3, and
+    # the caller walks 0, 2 and 4 instead of waiting for queued shards.
+    real_walk, real_start = enumeration.enumerate_shard, multiprocessing.Process.start
+    walks, starts = [], []
+
+    def walk(spec, pieces):
+        # A forked worker appends to its own copy of the list.
+        walks.append((os.getpid(), pieces))
+        return real_walk(spec, pieces)
+
+    def start(proc):
+        starts.append(proc)
+        real_start(proc)
+    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
+    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    hist, _, per_worker = full_dos_timed(spec4x4, workers=5)
+    assert hist == dos4x4 and len(starts) == 1
+    assert len(per_worker) == 5 and all(t > 0 for t in per_worker)
+    assert walks == [(os.getpid(), shard)
+                     for shard in make_shards(spec4x4, 5)[::2]]
+    assert multiprocessing.active_children() == []
+
+
+def test_one_usable_cpu_walks_every_shard_in_the_caller(monkeypatch, spec4x4,
+                                                        dos4x4):
+    monkeypatch.setattr(enumeration, "available_parallelism", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "Process", None)
+    hist, _, per_worker = full_dos_timed(spec4x4, workers=3)
+    assert hist == dos4x4 and len(per_worker) == 3
+
+
 @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
 def test_caller_walk_failure_is_raised_as_is_and_stops_the_workers(
-        monkeypatch, spec4x4, deadline, error):
+        monkeypatch, spec4x4, deadline, two_cpus, error):
     def walk(spec, pieces):
         if pieces[0][0].start:  # a forked worker: it would outlive the test
             time.sleep(120)

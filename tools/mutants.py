@@ -86,9 +86,14 @@ MUTANTS = {
         [(WALK, "total += flat if weight == 1 else weight * flat",
           "total += flat")]),
     "caller-walks-shard-1": (
-        "the caller walks shard 1 instead of shard 0",
-        [(WALK, "                hist = enumerate_shard(spec, shards[0])\n",
-          "                hist = enumerate_shard(spec, shards[1])\n")]),
+        "the caller walks from shard 1 instead of shard 0",
+        [(WALK, "_walk(spec, shards[::walkers])", "_walk(spec, shards[1::walkers])")]),
+    "caller-walks-only-shard-0": (
+        "the caller walks its first shard only",
+        [(WALK, "_walk(spec, shards[::walkers])", "_walk(spec, shards[:1])")]),
+    "worker-walks-first-shard-only": (
+        "a forked worker walks its first shard only",
+        [(WALK, "_walk(spec, shards)\n", "_walk(spec, shards[:1])\n")]),
     "caller-failure-orphans-worker": (
         "the driver's finally no longer terminates started workers",
         [(WALK, "                proc.terminate()\n                proc.join()\n",
