@@ -4,10 +4,11 @@
 The walk, one range of the top bits per symmetry orbit of the top column,
 each weighted by the orbit's size, splits in order into near-equal shards of
 (range, weight) pairs, one per worker.  At most one walker per usable CPU
-takes every walkers-th shard: the caller walks shards 0, walkers, ... and
-a forked process each other share, so 8 workers on 2 CPUs fork one
-process.  Each partial histogram is an exact integer table, so the merged
-result is bit-identical no matter how many workers ran.  The short benchmark at the end rechecks that while measuring wall
+takes every walkers-th shard: the caller walks shards 0, walkers,
+2 * walkers, ..., and each other walker is a forked process, so 8 workers
+on 2 CPUs fork one process.  Each partial histogram is an exact integer
+table, so the merged result is bit-identical no matter how many workers
+ran.  The short benchmark at the end rechecks that while measuring wall
 times.
 """
 
