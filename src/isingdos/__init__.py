@@ -4,9 +4,11 @@ Configurations are enumerated exhaustively, one range of the top bits per
 symmetry orbit weighted by the orbit's size, in blocks binned by XOR and
 vector popcount of tabulated bond masks.  `make_shards` cuts those (range,
 weight) pairs into parallel shards, `enumerate_shard` walks each, and
-`merge` adds them into an exact integer g(M, E) histogram; thermodynamic
-observables follow from it at any field and temperature.  A deliberately
-naive oracle engine cross-checks everything on small lattices.
+`full_dos` walks them in the caller and in children forked for the call
+and adds their tables into an exact integer g(M, E) histogram (`merge`
+adds histograms the same way); thermodynamic observables follow from it
+at any field and temperature.  A deliberately naive oracle engine
+cross-checks everything on small lattices.
 """
 
 from .bench import BenchRecord, ResultMismatchError, emit_scaling_report, \

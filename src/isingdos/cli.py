@@ -1,9 +1,10 @@
 """Command-line interface: enumeration, verification, thermodynamics, benchmarks.
 
-Exit codes: 0 success, 1 validation/check failure, 2 usage error, 3 I/O
-error.  On failure the first stderr line is machine-parseable:
-``error: <category>: <detail>`` with category in {validation, parse,
-check-failed, io}.
+Exit codes: 0 success, 1 validation/check failure or a failed shard
+worker, 2 usage error, 3 I/O error.  On failure the first stderr line is
+machine-parseable: ``error: <category>: <detail>`` with category in
+{validation, parse, check-failed, worker, io}; ``worker`` is a forked shard
+worker that exited without its result or replied malformed bytes.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import numpy as np
 
 from .bench import ResultMismatchError, emit_scaling_report, run_bench
 from .dosio import DosFileError, format_dos_csv, format_dos_json, read_dos
-from .enumeration import full_dos, full_dos_timed
+from .enumeration import WorkerError, full_dos, full_dos_timed
 from .lattice import LatticeSpec
 from .oracle import oracle_full_dos
 from .thermo import thermo_sweep
@@ -198,6 +199,9 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except ValueError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except WorkerError as exc:
+        print(f"error: worker: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

@@ -19,14 +19,15 @@ is multiplied by its weight once, after its walk.  Counts are exact
 integers and the shard tables add elementwise, so the total is
 bit-identical for any shard count or order of addition.  Like the fixed
 ranks of an MPI program, at most one walker per usable CPU takes every
-walkers-th shard; the caller is walker 0, as rank 0 is, and each other
-walker is a forked process.  A worker pipes back one message: each walk's
-seconds as a float64, then the bare int64 sum of its tables in C order,
-which the caller adds to its own.  Only a failed walk's exception and
-traceback are pickled."""
+walkers-th shard: the caller is walker 0, as rank 0 is, and each other is
+a child that `os.fork` starts for the call.  A worker writes one reply to
+a bare pipe: a tag byte, each walk's seconds, then the bare int64 sum of
+its tables, which the caller adds to its own."""
 
 import os
 import pickle
+import select
+import signal
 import struct
 import time
 from collections import Counter
@@ -175,11 +176,7 @@ def enumerate_shard(spec: LatticeSpec, shard) -> DoSHistogram:
 
 
 def merge(parts) -> DoSHistogram:
-    """Elementwise sum of shard histograms (order-independent).
-
-    Args:
-        parts: nonempty list of histograms sharing one spec.
-    """
+    """Elementwise sum, in any order, of a nonempty list of histograms of one spec."""
     parts = list(parts)
     if not parts:
         raise ValueError("merge needs at least one part")
@@ -203,6 +200,10 @@ class RemoteTraceback(Exception):
     """The formatted traceback of an exception raised in a shard worker."""
 
 
+class WorkerError(RuntimeError):
+    """A shard worker's reply is missing, of the wrong size, or cannot be rebuilt."""
+
+
 def _walk(spec, shards):
     # The summed int64 counts of the shards' tables and each walk's seconds.
     counts, seconds = 0, []
@@ -213,45 +214,38 @@ def _walk(spec, shards):
     return counts, seconds
 
 
-def _shard_worker(spec, shards, conn):
-    # Walks its shards in its own process.  Replies with one message: each
-    # walk's seconds as a float64, then the int64 counts of their summed
-    # table in C order.  No other numpy call: a forked worker pays RSS for
-    # each code path it is first to touch, ~0.4 MB to pickle a histogram.
-    # If a walk raised, an empty message, then (the pickled exception, or
-    # None if it does not pickle, and its formatted traceback).
+def _shard_worker(spec, shards, fd):
+    # Walks its shards in a forked child and writes one reply to the pipe
+    # end fd: a tag byte 0, each walk's seconds as float64, then the int64
+    # sum of their tables in C order (a forked worker pays RSS for each code
+    # path it is first to touch, so no other numpy call); if a walk raised,
+    # a tag byte 1, then the pickle of (pickled exception or None, traceback).
     try:
         counts, seconds = _walk(spec, shards)
-        conn.send_bytes(struct.pack(f"{len(seconds)}d", *seconds)
-                        + counts.tobytes())
+        reply = b"\0" + struct.pack(f"{len(seconds)}d", *seconds) + counts.tobytes()
     except Exception as exc:
         import traceback  # only a failed walk needs it
         try:
             pickled = pickle.dumps(exc)
         except Exception:
             pickled = None
-        conn.send_bytes(b"")
-        conn.send((pickled, traceback.format_exc()))
-    conn.close()
+        reply = b"\1" + pickle.dumps((pickled, traceback.format_exc()))
+    with open(fd, "wb") as pipe:
+        pipe.write(reply)
 
 
 def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     """Complete density of states plus timing.
 
-    make_shards cuts the walk, spec.top_orbits, into one shard per worker,
-    and enumerate_shard walks each.  min(workers, available_parallelism())
-    walkers take every walkers-th shard: walker j walks shards j, j +
-    walkers, ...  The caller is walker 0, and each other walker is a
-    process started for this call before the caller walks, so `workers` W
-    starts min(W, P) - 1 processes on P usable CPUs.  An exception in the
-    caller's own walk is raised as it is; only a worker's exception is
-    raised with its traceback chained as a RemoteTraceback.  A worker that
-    exits without replying, or replies with a message of the wrong size,
-    raises RuntimeError.
-
-    Returns:
-        (histogram, wall_seconds, per_worker_seconds) where the per-worker
-        list holds each shard's own enumeration interval, in shard order.
+    make_shards cuts the walk into one shard per worker, and walker j of
+    min(workers, available_parallelism()) walks shards j, j + walkers, ...
+    The caller is walker 0; each other is a child that os.fork starts before
+    the caller walks (without os.fork, the caller walks every shard), and
+    every one is killed and reaped before the call ends.  The caller's own
+    exception is raised as it is, a worker's with its traceback chained as a
+    RemoteTraceback; a worker that exits without replying, or replies the
+    wrong size, raises WorkerError.  Returns (histogram, wall_seconds,
+    per_worker_seconds), the last each shard's own walk seconds in shard order.
     """
     if workers is None:
         # Auto mode walks a lattice of at most one block serially.
@@ -259,60 +253,66 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
                    if spec.num_configs > 1 << BLOCK_BITS else 1)
     _check_count("workers", workers, spec)
     shards = make_shards(spec, workers)
-    walkers = min(workers, available_parallelism())
-    shape = spec.num_spins + 1, spec.num_bonds + 1
-    seconds, pending = [None] * workers, {}
+    walkers = min(workers, available_parallelism() if hasattr(os, "fork") else 1)
+    # Unread replies (read end -> walker) and unreaped workers (walker -> pid).
+    seconds, pending, pids = [None] * workers, {}, {}
     t0 = time.perf_counter()
     try:
-        if walkers > 1:
-            # Imported here: a serial walk never loads multiprocessing (~0.5 MB).
-            from multiprocessing import Pipe, Process
-            from multiprocessing.connection import wait
-            for j in range(1, walkers):
-                recv, send = Pipe(duplex=False)
-                proc = Process(target=_shard_worker,
-                               args=(spec, shards[j::walkers], send), daemon=True)
-                pending[recv] = j, proc
-                # Only the worker holds the sending end, so its exit ends the pipe.
-                with send:
-                    proc.start()
+        for j in range(1, walkers):
+            read, write = os.pipe()
+            pending[read] = j
+            try:
+                pids[j] = os.fork()
+            except BaseException:
+                os.close(write)
+                raise
+            if not pids[j]:  # the worker: it never returns into the caller's stack
+                code = 1
+                try:
+                    for fd in pending:  # the read ends, its own among them
+                        os.close(fd)
+                    _shard_worker(spec, shards[j::walkers], write)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)  # so the worker's exit ends the pipe
         counts, seconds[::walkers] = _walk(spec, shards[::walkers])
         while pending:
-            for recv in wait(list(pending)):
-                try:
-                    reply = recv.recv_bytes()
-                    failure = None if reply else recv.recv()
-                except EOFError:
-                    reply = None
-                j, proc = pending.pop(recv)
-                recv.close()
-                proc.join()
-                if reply is None:
-                    raise RuntimeError(f"shard worker {j} exited with code "
-                                       f"{proc.exitcode} without a result")
-                if failure is not None:  # a walk raised
-                    pickled, detail = failure
+            poll = select.poll()
+            for fd in pending:
+                poll.register(fd, select.POLLIN)
+            for fd, _ in poll.poll():
+                j = pending.pop(fd)
+                with open(fd, "rb") as pipe:
+                    reply = pipe.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[j], 0)[1])
+                del pids[j]  # only now: the finally reaps what is still here
+                if not reply:
+                    raise WorkerError(f"shard worker {j} exited with code "
+                                      f"{code} without a result")
+                if reply[0]:  # a walk raised
+                    pickled, detail = pickle.loads(reply[1:])
                     try:
                         exc = pickle.loads(pickled)
                     except Exception:
-                        exc = RuntimeError(f"shard worker {j} raised an "
-                                           f"exception that cannot be rebuilt")
+                        exc = WorkerError(f"shard worker {j} raised an "
+                                          f"exception that cannot be rebuilt")
                     raise exc from RemoteTraceback(detail)
                 walked = len(shards[j::walkers])
-                size = 8 * walked + 8 * shape[0] * shape[1]
+                size = 1 + 8 * walked + counts.nbytes
                 if len(reply) != size:
-                    raise RuntimeError(f"shard worker {j} replied {len(reply)} "
-                                       f"bytes, not the {size} of {walked} "
-                                       f"float64 and a {shape} table")
-                seconds[j::walkers] = struct.unpack_from(f"{walked}d", reply)
-                counts = counts + np.frombuffer(
-                    reply, np.int64, offset=8 * walked).reshape(shape)
+                    raise WorkerError(f"shard worker {j} replied {len(reply)} "
+                                      f"bytes, not the {size} of a tag, {walked} "
+                                      f"float64 and a {counts.shape} table")
+                seconds[j::walkers] = struct.unpack_from(f"{walked}d", reply, 1)
+                counts += np.frombuffer(reply, np.int64, offset=1 + 8 * walked
+                                        ).reshape(counts.shape)
     finally:
-        for recv, (_, proc) in pending.items():
-            recv.close()
-            if proc.pid is not None:  # started
-                proc.terminate()
-                proc.join()
+        for fd in pending:
+            os.close(fd)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     wall = time.perf_counter() - t0
     return DoSHistogram(spec, counts), wall, seconds
 

@@ -1,5 +1,7 @@
 import functools
-import multiprocessing
+import glob
+import os
+import signal
 
 import pytest
 
@@ -37,15 +39,26 @@ def oracle_cell(spec, index):
 ENGINES = {"kernel": kernel_cell, "oracle": oracle_cell}
 
 
+def children():
+    """Pids of this process's children, running or unreaped (Linux /proc)."""
+    pids = set()
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        with open(path) as f:
+            pids.update(map(int, f.read().split()))
+    return pids
+
+
 @pytest.fixture(autouse=True)
 def no_child_left_alive():
-    """Fail any test that leaves a shard worker (or other child) running."""
+    """Fail any test that leaves a child process, running or unreaped."""
     yield
-    alive = multiprocessing.active_children()
-    for proc in alive:  # so that the next test starts clean
-        proc.terminate()
-        proc.join()
-    assert alive == [], f"{alive} outlived the test"
+    left = children()
+    for pid in left:  # killed and reaped, so that the next test starts clean
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert not left, f"children {sorted(left)} outlived the test"
+    with pytest.raises(ChildProcessError):  # nor one that /proc did not list
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -389,14 +389,17 @@ def test_unknown_command_is_usage_error():
 
 # -- installed entry point -----------------------------------------------------------
 
-def _run_module(*argv):
+def _run_python(*argv):
     # The checkout's sources come first, also when the package is not
     # installed.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "isingdos.cli", *argv],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def _run_module(*argv):
+    return _run_python("-m", "isingdos.cli", *argv)
 
 
 def test_console_script_round_trip(tmp_path):
@@ -412,3 +415,34 @@ def test_console_script_round_trip(tmp_path):
 def test_console_script_usage_error():
     proc = _run_module()
     assert proc.returncode == 2
+
+
+# The forked worker's walk exits with code 3 before it replies; main's exit
+# status is kept only if no child outlived it.
+DEAD_WORKER = """
+import os, sys
+from isingdos import cli, enumeration
+real = enumeration.enumerate_shard
+def walk(spec, pieces):
+    if pieces[0][0].start:
+        os._exit(3)
+    return real(spec, pieces)
+enumeration.enumerate_shard = walk
+enumeration.available_parallelism = lambda: 2
+status = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(status)
+sys.exit(4)
+"""
+
+
+def test_dead_worker_is_a_worker_error(tmp_path):
+    out = tmp_path / "dos.csv"
+    proc = _run_python("-c", DEAD_WORKER, "dos", "--rows", "4", "--cols", "4",
+                       "--workers", "2", "--out", str(out))
+    assert proc.stderr.splitlines()[0] == (
+        "error: worker: shard worker 1 exited with code 3 without a result")
+    assert proc.returncode == 1
+    assert not out.exists()

@@ -1,5 +1,5 @@
+import errno
 import hashlib
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -23,7 +23,7 @@ from isingdos import (
 from isingdos import enumeration
 from isingdos.enumeration import BLOCK_BITS
 
-from conftest import DOS_2X2_CELLS, oracle_cell
+from conftest import DOS_2X2_CELLS, children, oracle_cell
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -458,10 +458,10 @@ def test_full_dos_timed_reports_workers(spec4x4, dos4x4, two_cpus):
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 4)])
 def test_auto_workers_walk_one_block_serially(monkeypatch, dims):
-    # At most 2^BLOCK_BITS configurations: auto mode starts no pool.
+    # At most 2^BLOCK_BITS configurations: auto mode forks nothing.
     spec = LatticeSpec(*dims)
     expected = full_dos(spec, workers=1)
-    monkeypatch.setattr(multiprocessing, "Process", None)
+    monkeypatch.setattr(os, "fork", None)
     hist, _, per_worker = full_dos_timed(spec)
     assert hist == expected and len(per_worker) == 1
     assert full_dos(spec) == expected
@@ -489,11 +489,6 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
-# The workers see the patched walk only when they are forked.
-forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                            reason="workers are not forked")
-
-
 def _second_shard_fails(monkeypatch, fail):
     # A worker walks its shard's (range, weight) pieces with one
     # enumerate_shard call.
@@ -506,7 +501,16 @@ def _second_shard_fails(monkeypatch, fail):
     monkeypatch.setattr(enumeration, "enumerate_shard", walk)
 
 
-@forked
+def _counting_forks(monkeypatch, forks):
+    # Appends to forks the number of this process's children at each fork.
+    real = os.fork
+
+    def fork():
+        forks.append(len(children()))
+        return real()
+    monkeypatch.setattr(os, "fork", fork)
+
+
 def test_worker_exception_reaches_the_caller(monkeypatch, spec4x4, deadline,
                                              two_cpus):
     def fail():
@@ -514,11 +518,11 @@ def test_worker_exception_reaches_the_caller(monkeypatch, spec4x4, deadline,
     _second_shard_fails(monkeypatch, fail)
     with pytest.raises(ArithmeticError, match="shard walk failed") as caught:
         full_dos(spec4x4, workers=2)
-    # The worker's traceback comes along, as with multiprocessing.Pool.
+    # The worker's traceback comes along, as a process pool's would.
     cause = caught.value.__cause__
     assert isinstance(cause, enumeration.RemoteTraceback)
     assert "in fail" in str(cause) and "ArithmeticError" in str(cause)
-    assert multiprocessing.active_children() == []
+    assert not children()
 
 
 class TwoPartError(Exception):
@@ -527,7 +531,6 @@ class TwoPartError(Exception):
         super().__init__(f"{what}: {why}")
 
 
-@forked
 def test_worker_exception_that_cannot_be_rebuilt(monkeypatch, spec4x4, deadline,
                                                  two_cpus):
     def fail():
@@ -536,42 +539,44 @@ def test_worker_exception_that_cannot_be_rebuilt(monkeypatch, spec4x4, deadline,
     with pytest.raises(RuntimeError, match="shard worker 1 raised") as caught:
         full_dos(spec4x4, workers=2)
     assert "TwoPartError: shard: walk failed" in str(caught.value.__cause__)
-    assert multiprocessing.active_children() == []
+    assert not children()
 
 
 def test_failed_start_closes_every_pipe(monkeypatch, spec4x4, deadline):
     # Three usable CPUs: two workers start besides the caller, the second fails.
-    pipes = []
+    ends = []
 
-    def pipe(duplex):
-        ends = real_pipe(duplex)
-        pipes.extend(ends)
-        return ends
+    def pipe():
+        ends.extend(real_pipe())
+        return ends[-2:]
 
-    def start(proc):
-        if len(pipes) > 2:
+    def fork():
+        if len(ends) > 2:
             raise OSError("no more processes")
-        real_start(proc)
-    real_pipe, real_start = multiprocessing.Pipe, multiprocessing.Process.start
-    monkeypatch.setattr(multiprocessing, "Pipe", pipe)
-    monkeypatch.setattr(multiprocessing.Process, "start", start)
+        return real_fork()
+    real_pipe, real_fork = os.pipe, os.fork
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(enumeration, "available_parallelism", lambda: 3)
     with pytest.raises(OSError, match="no more processes"):
         full_dos(spec4x4, workers=3)
-    assert len(pipes) == 4 and all(end.closed for end in pipes)
-    assert multiprocessing.active_children() == []
+    assert len(ends) == 4
+    for fd in ends:
+        with pytest.raises(OSError) as caught:
+            os.fstat(fd)
+        assert caught.value.errno == errno.EBADF, fd
+    assert not children()
 
 
-@forked
 def test_worker_that_dies_silently_raises(monkeypatch, spec4x4, deadline,
                                           two_cpus):
     _second_shard_fails(monkeypatch, lambda: os._exit(3))
-    with pytest.raises(RuntimeError, match="shard worker 1 exited with code 3"):
+    with pytest.raises(enumeration.WorkerError,
+                       match="shard worker 1 exited with code 3"):
         full_dos(spec4x4, workers=2)
-    assert multiprocessing.active_children() == []
+    assert not children()
 
 
-@forked
 def test_table_cells_past_int32_come_back_exact(monkeypatch, spec4x4, dos4x4,
                                                 deadline, two_cpus):
     real = enumeration.enumerate_shard
@@ -585,70 +590,64 @@ def test_table_cells_past_int32_come_back_exact(monkeypatch, spec4x4, dos4x4,
     expected = dos4x4.counts.copy()
     expected[0, 0] += 2**40 + 1
     assert np.array_equal(full_dos(spec4x4, workers=2).counts, expected)
-    assert multiprocessing.active_children() == []
+    assert not children()
 
 
-@forked
 def test_reply_of_the_wrong_length_raises(monkeypatch, spec4x4, deadline,
                                           two_cpus):
     real = enumeration._shard_worker
 
-    def worker(spec, shards, conn):
+    def worker(spec, shards, fd):
         if shards[0][0][0].start:
-            conn.send_bytes(bytes(16))
-            conn.close()
+            os.write(fd, bytes(16))
         else:
-            real(spec, shards, conn)
+            real(spec, shards, fd)
     monkeypatch.setattr(enumeration, "_shard_worker", worker)
-    with pytest.raises(RuntimeError, match="shard worker 1 replied 16 bytes"):
+    with pytest.raises(enumeration.WorkerError,
+                       match="shard worker 1 replied 16 bytes"):
         full_dos(spec4x4, workers=2)
-    assert multiprocessing.active_children() == []
+    assert not children()
 
 
-@forked
 def test_live_workers_never_exceed_usable_cpus(monkeypatch, spec4x4, dos4x4,
                                                deadline):
     # Five shards, three usable CPUs: the caller walks shards 0 and 3, and
-    # two forked walkers take 1 and 4, and 2; each start finds at most the
+    # two forked walkers take 1 and 4, and 2; each fork finds at most the
     # other worker alive.
-    real_worker, real_start = enumeration._shard_worker, multiprocessing.Process.start
-    others = []
+    real_worker, forks = enumeration._shard_worker, []
 
-    def worker(spec, shards, conn):
+    def worker(spec, shards, fd):
         time.sleep(0.2)
-        real_worker(spec, shards, conn)
-
-    def start(proc):
-        others.append(len(multiprocessing.active_children()))
-        real_start(proc)
+        real_worker(spec, shards, fd)
     monkeypatch.setattr(enumeration, "available_parallelism", lambda: 3)
     monkeypatch.setattr(enumeration, "_shard_worker", worker)
-    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    _counting_forks(monkeypatch, forks)
     hist, _, per_worker = full_dos_timed(spec4x4, workers=5)
     assert hist == dos4x4 and len(per_worker) == 5
-    assert len(others) == 2 and max(others) <= 1, others
+    assert len(forks) == 2 and max(forks) <= 1, forks
+
+
+def _walks_by_pid(monkeypatch, walks):
+    # Appends (pid, pieces) to walks at each walk; a forked worker appends
+    # to its own copy of the list.
+    real = enumeration.enumerate_shard
+
+    def walk(spec, pieces):
+        walks.append((os.getpid(), pieces))
+        return real(spec, pieces)
+    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
 
 
 def test_caller_walks_shard_0_and_forks_one_process_per_other_shard(
         monkeypatch, plain5x5, two_cpus):
     spec = LatticeSpec(5, 5)
-    real_walk, real_start = enumeration.enumerate_shard, multiprocessing.Process.start
-    walks, starts = [], []
-
-    def walk(spec, pieces):
-        # A forked worker appends to its own copy of the list.
-        walks.append((os.getpid(), pieces))
-        return real_walk(spec, pieces)
-
-    def start(proc):
-        starts.append(proc)
-        real_start(proc)
-    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
-    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    walks, forks = [], []
+    _walks_by_pid(monkeypatch, walks)
+    _counting_forks(monkeypatch, forks)
     for calls in (1, 2):
         hist, _, per_worker = full_dos_timed(spec, workers=2)
         assert hist == plain5x5 and len(per_worker) == 2
-        assert len(starts) == calls
+        assert len(forks) == calls
     assert walks == [(os.getpid(), make_shards(spec, 2)[0])] * 2
 
 
@@ -656,33 +655,34 @@ def test_more_workers_than_cpus_fork_one_walker_per_other_cpu(
         monkeypatch, spec4x4, dos4x4, deadline, two_cpus):
     # Five shards on two usable CPUs: one process walks shards 1 and 3, and
     # the caller walks 0, 2 and 4 instead of waiting for queued shards.
-    real_walk, real_start = enumeration.enumerate_shard, multiprocessing.Process.start
-    walks, starts = [], []
-
-    def walk(spec, pieces):
-        # A forked worker appends to its own copy of the list.
-        walks.append((os.getpid(), pieces))
-        return real_walk(spec, pieces)
-
-    def start(proc):
-        starts.append(proc)
-        real_start(proc)
-    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
-    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    walks, forks = [], []
+    _walks_by_pid(monkeypatch, walks)
+    _counting_forks(monkeypatch, forks)
     hist, _, per_worker = full_dos_timed(spec4x4, workers=5)
-    assert hist == dos4x4 and len(starts) == 1
+    assert hist == dos4x4 and len(forks) == 1
     assert len(per_worker) == 5 and all(t > 0 for t in per_worker)
     assert walks == [(os.getpid(), shard)
                      for shard in make_shards(spec4x4, 5)[::2]]
-    assert multiprocessing.active_children() == []
+    assert not children()
 
 
 def test_one_usable_cpu_walks_every_shard_in_the_caller(monkeypatch, spec4x4,
                                                         dos4x4):
     monkeypatch.setattr(enumeration, "available_parallelism", lambda: 1)
-    monkeypatch.setattr(multiprocessing, "Process", None)
+    monkeypatch.setattr(os, "fork", None)
     hist, _, per_worker = full_dos_timed(spec4x4, workers=3)
     assert hist == dos4x4 and len(per_worker) == 3
+
+
+def test_without_fork_the_caller_walks_every_shard(monkeypatch, spec4x4,
+                                                   dos4x4, two_cpus):
+    # Where os has no fork, two usable CPUs walk as one.
+    walks = []
+    _walks_by_pid(monkeypatch, walks)
+    monkeypatch.delattr(os, "fork")
+    hist, _, per_worker = full_dos_timed(spec4x4, workers=3)
+    assert hist == dos4x4 and len(per_worker) == 3
+    assert walks == [(os.getpid(), shard) for shard in make_shards(spec4x4, 3)]
 
 
 @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
@@ -696,16 +696,19 @@ def test_caller_walk_failure_is_raised_as_is_and_stops_the_workers(
     with pytest.raises(error, match="caller walk failed") as caught:
         full_dos(spec4x4, workers=2)
     assert caught.value.__cause__ is None and caught.value.__context__ is None
-    assert multiprocessing.active_children() == []
+    assert not children()
 
 
 def test_serial_walk_never_imports_multiprocessing():
-    # A serial walk and its check stay clear of the driver's lazy import.
+    # Neither a serial walk and its check nor a walk with a forked worker
+    # loads multiprocessing.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     code = ("import sys\n"
-            "from isingdos import LatticeSpec, full_dos, verify_dos\n"
+            "from isingdos import LatticeSpec, enumeration, full_dos, verify_dos\n"
             "assert verify_dos(full_dos(LatticeSpec(5, 5), workers=1)).passed\n"
+            "enumeration.available_parallelism = lambda: 2\n"
+            "assert verify_dos(full_dos(LatticeSpec(5, 5), workers=2)).passed\n"
             "assert 'multiprocessing' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path))

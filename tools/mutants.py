@@ -95,9 +95,16 @@ MUTANTS = {
         "a forked worker walks its first shard only",
         [(WALK, "_walk(spec, shards)\n", "_walk(spec, shards[:1])\n")]),
     "caller-failure-orphans-worker": (
-        "the driver's finally no longer terminates started workers",
-        [(WALK, "                proc.terminate()\n                proc.join()\n",
-          "                pass\n")]),
+        "the driver's finally no longer kills and reaps started workers",
+        [(WALK, "            os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
+          "            pass\n")]),
+    "worker-not-reaped": (
+        "a worker that replied is never reaped",
+        [(WALK, "code = os.waitstatus_to_exitcode(os.waitpid(pids[j], 0)[1])",
+          "code = None")]),
+    "dead-worker-accepted": (
+        "an empty reply is not checked",
+        [(WALK, "                if not reply:\n", "                if reply is None:\n")]),
 }
 
 
