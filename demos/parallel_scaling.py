@@ -3,12 +3,11 @@
 
 The walk, one range of the top bits per symmetry orbit of the top column,
 each weighted by the orbit's size, splits in order into near-equal shards of
-(range, weight) pairs, one per worker.  At most one walker per usable CPU
-takes every walkers-th shard: the caller walks shards 0, walkers,
-2 * walkers, ..., and each other walker is a forked process, so 8 workers
-on 2 CPUs fork one process.  Each partial histogram is an exact integer
-table, so the merged result is bit-identical no matter how many workers
-ran.  The short benchmark at the end rechecks that while measuring wall
+(range, weight) pairs, one per walker, at most one walker per usable CPU:
+the caller walks shard 0 and each other walker is a forked process, so 8
+workers on 2 CPUs fork one process.  Each partial histogram is an exact
+integer table, so the merged result is bit-identical no matter how many
+workers ran.  The short benchmark at the end rechecks that while measuring wall
 times.
 """
 
@@ -27,7 +26,7 @@ spec = LatticeSpec(5, 5)
 print(f"lattice {spec.rows}x{spec.cols}: 2^{spec.num_spins} configurations, "
       f"{len(spec.top_orbits)} top ranges walked")
 
-print("\nshard layout for 3 workers, (range, weight) pairs:")
+print("\nshard layout for 3 walkers, (range, weight) pairs:")
 for i, shard in enumerate(make_shards(spec, 3)):
     print(f"  shard {i}: walks {sum(len(r) for r, _ in shard)} configurations")
     for r, weight in shard:

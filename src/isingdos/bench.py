@@ -17,7 +17,7 @@ class ResultMismatchError(RuntimeError):
 
 @dataclass
 class BenchRecord:
-    """Timing of one (lattice, worker count) measurement."""
+    """Timing of one (lattice, walker count) measurement."""
 
     spec: LatticeSpec
     num_workers: int
@@ -31,7 +31,8 @@ def run_bench(spec: LatticeSpec, worker_counts, repeats: int = 3) -> list[BenchR
 
     Each count runs `repeats` times; the minimum wall time wins (robust to
     scheduler noise).  The serial runs (the 1-worker runs, or one extra run)
-    are the reference every run must match and the speedup baseline.
+    are the reference every run must match and the speedup baseline.  A
+    record's num_workers is the walkers that ran, at most the usable CPUs.
 
     Args:
         spec: lattice to enumerate.
@@ -63,8 +64,8 @@ def run_bench(spec: LatticeSpec, worker_counts, repeats: int = 3) -> list[BenchR
                 f"on {spec.rows}x{spec.cols}x{spec.depth}"
             )
         _, wall, per_worker = min(runs, key=lambda run: run[1])
-        records.append(BenchRecord(spec=spec, num_workers=p, wall_seconds=wall,
-                                   per_worker_seconds=per_worker,
+        records.append(BenchRecord(spec=spec, num_workers=len(per_worker),
+                                   wall_seconds=wall, per_worker_seconds=per_worker,
                                    speedup_vs_one=baseline / wall))
     return records
 

@@ -1,10 +1,11 @@
 """Command-line interface: enumeration, verification, thermodynamics, benchmarks.
 
 Exit codes: 0 success, 1 validation/check failure or a failed shard
-worker, 2 usage error, 3 I/O error.  On failure the first stderr line is
-machine-parseable: ``error: <category>: <detail>`` with category in
-{validation, parse, check-failed, worker, io}; ``worker`` is a forked shard
-worker that exited without its result or replied malformed bytes.
+worker, 2 usage error, 3 I/O error, 130 interrupted (Ctrl-C).  On failure
+the first stderr line is machine-parseable: ``error: <category>: <detail>``
+with category in {validation, parse, check-failed, worker, io,
+interrupted}; ``worker`` is a forked shard worker that exited without its
+result or replied malformed bytes.
 """
 
 import argparse
@@ -151,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dos", help="enumerate the full density of states")
     add_lattice_args(p)
     p.add_argument("--workers", type=_positive_int, default=None,
-                   help="shard workers (default: cores, 1 up to 2^12 configs)")
+                   help="walkers <= cores (default cores, 1 to 2^12 configs)")
     p.add_argument("--out", required=True, help="output path, or - for stdout")
     p.add_argument("--json", action="store_true",
                    help="emit a JSON object instead of CSV")
@@ -206,6 +207,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        # The driver has killed and reaped its workers on the way out.
+        print("error: interrupted: keyboard interrupt", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports a process it ended
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ The walk is one aligned top-bit range per symmetry orbit of the top
 column(s) or layer(s), each weighted by its orbit's size
 (`LatticeSpec.top_orbits`); a lattice too small for ranges of 2^18
 configurations walks [0, 2^N) whole.  `make_shards` cuts the ranges, in
-order, into one near-equal shard of (range, weight) pairs per worker, and
+order, into one near-equal shard of (range, weight) pairs per walker, and
 `enumerate_shard` walks each range in aligned blocks of 2^k indices
 H*2^k + L.  The anti-aligned bond masks of the 2^k low parts L (per
 periodic axis, the index XOR its masked rotation, packed into uint64 words)
@@ -17,12 +17,12 @@ coding, Jacobs & Rebbi 1981, cut once like Beale's 1996 transfer matrix),
 and each chunk of bases bins each of its classes once.  Each range's table
 is multiplied by its weight once, after its walk.  Counts are exact
 integers and the shard tables add elementwise, so the total is
-bit-identical for any shard count or order of addition.  Like the fixed
-ranks of an MPI program, at most one walker per usable CPU takes every
-walkers-th shard: the caller is walker 0, as rank 0 is, and each other is
-a child that `os.fork` starts for the call.  A worker writes one reply to
-a bare pipe: a tag byte, each walk's seconds, then the bare int64 sum of
-its tables, which the caller adds to its own."""
+bit-identical for any shard count or order of addition.  Like the ranks
+of an MPI program, at most one walker per usable CPU walks one shard each:
+the caller walks shard 0, as rank 0 would, and walker j is a child that
+`os.fork` starts for the call.  A worker writes one reply to a bare pipe:
+a tag byte, its walk's seconds, then its bare int64 table, which the
+caller adds to its own."""
 
 import os
 import pickle
@@ -62,9 +62,9 @@ def make_shards(spec: LatticeSpec, num_shards: int) -> list[list[tuple[range, in
 
     A shard is a list of (range, weight) pairs.  Of the walk's S indices,
     shard i walks S // num_shards, plus one for i < S % num_shards,
-    contiguous in walk order; each part of a range keeps its weight.  On a
-    lattice walked whole, shard i is [(range, 1)].  Deterministic for fixed
-    inputs.
+    contiguous in walk order; each part of a range keeps its weight.  Where
+    the walk is [0, 2^N) whole, shard i is [(range, 1)].  Deterministic for
+    fixed inputs.
     """
     _check_count("num_shards", num_shards, spec)
     walk = spec.top_orbits
@@ -204,25 +204,22 @@ class WorkerError(RuntimeError):
     """A shard worker's reply is missing, of the wrong size, or cannot be rebuilt."""
 
 
-def _walk(spec, shards):
-    # The summed int64 counts of the shards' tables and each walk's seconds.
-    counts, seconds = 0, []
-    for shard in shards:
-        t0 = time.perf_counter()
-        counts = counts + enumerate_shard(spec, shard).counts
-        seconds.append(time.perf_counter() - t0)
-    return counts, seconds
+def _walk(spec, shard):
+    # The int64 counts of a shard's table and the seconds its walk took.
+    t0 = time.perf_counter()
+    counts = enumerate_shard(spec, shard).counts
+    return counts, time.perf_counter() - t0
 
 
-def _shard_worker(spec, shards, fd):
-    # Walks its shards in a forked child and writes one reply to the pipe
-    # end fd: a tag byte 0, each walk's seconds as float64, then the int64
-    # sum of their tables in C order (a forked worker pays RSS for each code
-    # path it is first to touch, so no other numpy call); if a walk raised,
-    # a tag byte 1, then the pickle of (pickled exception or None, traceback).
+def _shard_worker(spec, shard, fd):
+    # Walks a shard in a forked child and writes one reply to the pipe end
+    # fd: a tag byte 0, the walk's seconds as float64, then its int64 table
+    # in C order (a forked worker pays RSS for each code path it is first to
+    # touch, so no other numpy call); if the walk raised, a tag byte 1, then
+    # the pickle of (pickled exception or None, traceback).
     try:
-        counts, seconds = _walk(spec, shards)
-        reply = b"\0" + struct.pack(f"{len(seconds)}d", *seconds) + counts.tobytes()
+        counts, seconds = _walk(spec, shard)
+        reply = b"\0" + struct.pack("d", seconds) + counts.tobytes()
     except Exception as exc:
         import traceback  # only a failed walk needs it
         try:
@@ -237,25 +234,24 @@ def _shard_worker(spec, shards, fd):
 def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     """Complete density of states plus timing.
 
-    make_shards cuts the walk into one shard per worker, and walker j of
-    min(workers, available_parallelism()) walks shards j, j + walkers, ...
-    The caller is walker 0; each other is a child that os.fork starts before
-    the caller walks (without os.fork, the caller walks every shard), and
-    every one is killed and reaped before the call ends.  The caller's own
-    exception is raised as it is, a worker's with its traceback chained as a
-    RemoteTraceback; a worker that exits without replying, or replies the
-    wrong size, raises WorkerError.  Returns (histogram, wall_seconds,
-    per_worker_seconds), the last each shard's own walk seconds in shard order.
+    min(workers, available_parallelism()) walkers, or one where os has no
+    fork, each walk one shard of make_shards(spec, walkers).  The caller
+    walks shard 0; walker j is a child that os.fork starts before the caller
+    walks, and every one is killed and reaped before the call ends.  The
+    caller's own exception is raised as it is, a worker's with its traceback
+    chained as a RemoteTraceback; a worker that exits without replying, or
+    replies the wrong size, raises WorkerError.  Returns (histogram,
+    wall_seconds, per_worker_seconds), the last each walker's walk seconds.
     """
     if workers is None:
         # Auto mode walks a lattice of at most one block serially.
         workers = (available_parallelism()
                    if spec.num_configs > 1 << BLOCK_BITS else 1)
     _check_count("workers", workers, spec)
-    shards = make_shards(spec, workers)
     walkers = min(workers, available_parallelism() if hasattr(os, "fork") else 1)
+    shards = make_shards(spec, walkers)
     # Unread replies (read end -> walker) and unreaped workers (walker -> pid).
-    seconds, pending, pids = [None] * workers, {}, {}
+    seconds, pending, pids = [None] * walkers, {}, {}
     t0 = time.perf_counter()
     try:
         for j in range(1, walkers):
@@ -271,12 +267,12 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
                 try:
                     for fd in pending:  # the read ends, its own among them
                         os.close(fd)
-                    _shard_worker(spec, shards[j::walkers], write)
+                    _shard_worker(spec, shards[j], write)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)  # so the worker's exit ends the pipe
-        counts, seconds[::walkers] = _walk(spec, shards[::walkers])
+        counts, seconds[0] = _walk(spec, shards[0])
         while pending:
             poll = select.poll()
             for fd in pending:
@@ -290,7 +286,7 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
                 if not reply:
                     raise WorkerError(f"shard worker {j} exited with code "
                                       f"{code} without a result")
-                if reply[0]:  # a walk raised
+                if reply[0]:  # the walk raised
                     pickled, detail = pickle.loads(reply[1:])
                     try:
                         exc = pickle.loads(pickled)
@@ -298,15 +294,12 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
                         exc = WorkerError(f"shard worker {j} raised an "
                                           f"exception that cannot be rebuilt")
                     raise exc from RemoteTraceback(detail)
-                walked = len(shards[j::walkers])
-                size = 1 + 8 * walked + counts.nbytes
-                if len(reply) != size:
+                if len(reply) != 9 + counts.nbytes:
                     raise WorkerError(f"shard worker {j} replied {len(reply)} "
-                                      f"bytes, not the {size} of a tag, {walked} "
-                                      f"float64 and a {counts.shape} table")
-                seconds[j::walkers] = struct.unpack_from(f"{walked}d", reply, 1)
-                counts += np.frombuffer(reply, np.int64, offset=1 + 8 * walked
-                                        ).reshape(counts.shape)
+                                      f"bytes, not the {9 + counts.nbytes} of a "
+                                      f"tag, a float64 and a {counts.shape} table")
+                (seconds[j],) = struct.unpack_from("d", reply, 1)
+                counts += np.frombuffer(reply, np.int64, offset=9).reshape(counts.shape)
     finally:
         for fd in pending:
             os.close(fd)

@@ -5,7 +5,7 @@ import signal
 
 import pytest
 
-from isingdos import LatticeSpec, enumerate_shard, full_dos
+from isingdos import LatticeSpec, enumerate_shard, enumeration, full_dos
 from isingdos.oracle import (decode_spins, oracle_energy, oracle_full_dos,
                              oracle_magnetization)
 
@@ -59,6 +59,12 @@ def no_child_left_alive():
     assert not left, f"children {sorted(left)} outlived the test"
     with pytest.raises(ChildProcessError):  # nor one that /proc did not list
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs on any host: workers=2 or more forks one walker."""
+    monkeypatch.setattr(enumeration, "available_parallelism", lambda: 2)
 
 
 @pytest.fixture(scope="session")

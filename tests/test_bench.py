@@ -28,7 +28,7 @@ def test_single_worker_self_baseline():
     assert len(r.per_worker_seconds) == 1
 
 
-def test_multi_worker_records():
+def test_multi_worker_records(two_cpus):
     records = run_bench(LatticeSpec(3, 3), [1, 2], repeats=2)
     assert [r.num_workers for r in records] == [1, 2]
     assert all(r.speedup_vs_one > 0 for r in records)
@@ -43,7 +43,8 @@ def test_baseline_without_explicit_one_worker():
 @pytest.mark.parametrize("counts,repeats,walks", [
     ([1], 3, 3), ([1, 2], 2, 4), ([2], 1, 2)],
     ids=["one-worker", "one-and-two-workers", "two-workers"])
-def test_serial_runs_are_the_reference(monkeypatch, counts, repeats, walks):
+def test_serial_runs_are_the_reference(monkeypatch, two_cpus, counts, repeats,
+                                       walks):
     # The requested 1-worker runs double as the reference and the baseline;
     # only without them does run_bench add one serial walk.
     real, calls = bench_mod.full_dos_timed, []

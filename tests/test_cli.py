@@ -417,15 +417,14 @@ def test_console_script_usage_error():
     assert proc.returncode == 2
 
 
-# The forked worker's walk exits with code 3 before it replies; main's exit
-# status is kept only if no child outlived it.
-DEAD_WORKER = """
-import os, sys
+# A CLI run whose walk is patched: {} holds the patch's lines, which see the
+# walk's pieces; main's exit status is kept only if no child outlived it.
+PATCHED_WALK = """
+import os, sys, time
 from isingdos import cli, enumeration
 real = enumeration.enumerate_shard
 def walk(spec, pieces):
-    if pieces[0][0].start:
-        os._exit(3)
+{}
     return real(spec, pieces)
 enumeration.enumerate_shard = walk
 enumeration.available_parallelism = lambda: 2
@@ -439,10 +438,41 @@ sys.exit(4)
 
 
 def test_dead_worker_is_a_worker_error(tmp_path):
+    # The forked worker's walk exits with code 3 before it replies.
     out = tmp_path / "dos.csv"
-    proc = _run_python("-c", DEAD_WORKER, "dos", "--rows", "4", "--cols", "4",
+    dead = PATCHED_WALK.format("    if pieces[0][0].start:\n        os._exit(3)")
+    proc = _run_python("-c", dead, "dos", "--rows", "4", "--cols", "4",
                        "--workers", "2", "--out", str(out))
     assert proc.stderr.splitlines()[0] == (
         "error: worker: shard worker 1 exited with code 3 without a result")
     assert proc.returncode == 1
     assert not out.exists()
+
+
+def test_ctrl_c_is_an_interrupted_error(tmp_path):
+    # Ctrl-C reaches the caller's walk while the forked worker still walks.
+    out = tmp_path / "dos.csv"
+    interrupted = PATCHED_WALK.format("    if not pieces[0][0].start:\n"
+                                      "        raise KeyboardInterrupt\n"
+                                      "    time.sleep(30)")
+    proc = _run_python("-c", interrupted, "dos", "--rows", "4", "--cols", "4",
+                       "--workers", "2", "--out", str(out))
+    assert proc.stderr.splitlines()[0] == "error: interrupted: keyboard interrupt"
+    assert proc.returncode == 130
+    assert not out.exists()
+
+
+# -- walkers, not requested workers -------------------------------------------------
+
+def test_dos_reports_the_walkers_that_ran(capsys, two_cpus):
+    assert run_cli("dos", "--rows", "4", "--cols", "4", "--workers", "16",
+                   "--out", "-") == 0
+    assert "65536 configurations, 2 worker(s)" in capsys.readouterr().err
+
+
+def test_bench_rows_count_the_walkers_that_ran(tmp_path, two_cpus):
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--rows", "3", "--cols", "3", "--workers", "1,2,8",
+                   "--repeats", "1", "--out", str(out)) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["1", "2", "2"]

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -442,12 +443,6 @@ def test_verify_fails_zero_histogram():
 
 # -- parallel driver ---------------------------------------------------------------
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    # Two usable CPUs on any host: workers=2 forks one worker.
-    monkeypatch.setattr(enumeration, "available_parallelism", lambda: 2)
-
-
 def test_full_dos_timed_reports_workers(spec4x4, dos4x4, two_cpus):
     hist, wall, per_worker = full_dos_timed(spec4x4, workers=2)
     assert hist == dos4x4
@@ -597,11 +592,11 @@ def test_reply_of_the_wrong_length_raises(monkeypatch, spec4x4, deadline,
                                           two_cpus):
     real = enumeration._shard_worker
 
-    def worker(spec, shards, fd):
-        if shards[0][0][0].start:
+    def worker(spec, shard, fd):
+        if shard[0][0].start:
             os.write(fd, bytes(16))
         else:
-            real(spec, shards, fd)
+            real(spec, shard, fd)
     monkeypatch.setattr(enumeration, "_shard_worker", worker)
     with pytest.raises(enumeration.WorkerError,
                        match="shard worker 1 replied 16 bytes"):
@@ -611,19 +606,18 @@ def test_reply_of_the_wrong_length_raises(monkeypatch, spec4x4, deadline,
 
 def test_live_workers_never_exceed_usable_cpus(monkeypatch, spec4x4, dos4x4,
                                                deadline):
-    # Five shards, three usable CPUs: the caller walks shards 0 and 3, and
-    # two forked walkers take 1 and 4, and 2; each fork finds at most the
-    # other worker alive.
+    # Five workers, three usable CPUs: three walkers, two of them forked;
+    # each fork finds at most the other worker alive.
     real_worker, forks = enumeration._shard_worker, []
 
-    def worker(spec, shards, fd):
+    def worker(spec, shard, fd):
         time.sleep(0.2)
-        real_worker(spec, shards, fd)
+        real_worker(spec, shard, fd)
     monkeypatch.setattr(enumeration, "available_parallelism", lambda: 3)
     monkeypatch.setattr(enumeration, "_shard_worker", worker)
     _counting_forks(monkeypatch, forks)
     hist, _, per_worker = full_dos_timed(spec4x4, workers=5)
-    assert hist == dos4x4 and len(per_worker) == 5
+    assert hist == dos4x4 and len(per_worker) == 3
     assert len(forks) == 2 and max(forks) <= 1, forks
 
 
@@ -653,25 +647,27 @@ def test_caller_walks_shard_0_and_forks_one_process_per_other_shard(
 
 def test_more_workers_than_cpus_fork_one_walker_per_other_cpu(
         monkeypatch, spec4x4, dos4x4, deadline, two_cpus):
-    # Five shards on two usable CPUs: one process walks shards 1 and 3, and
-    # the caller walks 0, 2 and 4 instead of waiting for queued shards.
+    # Five workers on two usable CPUs: the walk is cut in two, the caller
+    # walks the first half and one forked process the second.
     walks, forks = [], []
     _walks_by_pid(monkeypatch, walks)
     _counting_forks(monkeypatch, forks)
     hist, _, per_worker = full_dos_timed(spec4x4, workers=5)
     assert hist == dos4x4 and len(forks) == 1
-    assert len(per_worker) == 5 and all(t > 0 for t in per_worker)
-    assert walks == [(os.getpid(), shard)
-                     for shard in make_shards(spec4x4, 5)[::2]]
+    assert len(per_worker) == 2 and all(t > 0 for t in per_worker)
+    assert walks == [(os.getpid(), make_shards(spec4x4, 2)[0])]
     assert not children()
 
 
 def test_one_usable_cpu_walks_every_shard_in_the_caller(monkeypatch, spec4x4,
                                                         dos4x4):
+    walks = []
+    _walks_by_pid(monkeypatch, walks)
     monkeypatch.setattr(enumeration, "available_parallelism", lambda: 1)
     monkeypatch.setattr(os, "fork", None)
     hist, _, per_worker = full_dos_timed(spec4x4, workers=3)
-    assert hist == dos4x4 and len(per_worker) == 3
+    assert hist == dos4x4 and len(per_worker) == 1
+    assert walks == [(os.getpid(), make_shards(spec4x4, 1)[0])]
 
 
 def test_without_fork_the_caller_walks_every_shard(monkeypatch, spec4x4,
@@ -681,8 +677,39 @@ def test_without_fork_the_caller_walks_every_shard(monkeypatch, spec4x4,
     _walks_by_pid(monkeypatch, walks)
     monkeypatch.delattr(os, "fork")
     hist, _, per_worker = full_dos_timed(spec4x4, workers=3)
-    assert hist == dos4x4 and len(per_worker) == 3
-    assert walks == [(os.getpid(), shard) for shard in make_shards(spec4x4, 3)]
+    assert hist == dos4x4 and len(per_worker) == 1
+    assert walks == [(os.getpid(), make_shards(spec4x4, 1)[0])]
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (5, 5)])
+def test_walker_j_walks_shard_j_of_one_shard_per_walker(monkeypatch, tmp_path,
+                                                        deadline, dims):
+    # Eight workers on three, then five usable CPUs: the walk is cut into
+    # one shard per walker, and walker j walks shard j; the caller is
+    # walker 0, and forked walker j is the j-th fork.  Each walk leaves its
+    # shard in a file named after its process.
+    spec = LatticeSpec(*dims)
+    serial = full_dos(spec, workers=1)
+    real_walk, real_fork, pids = enumeration.enumerate_shard, os.fork, []
+
+    def walk(spec_, pieces):
+        (tmp_path / str(os.getpid())).write_bytes(pickle.dumps(pieces))
+        return real_walk(spec_, pieces)
+
+    def fork():
+        pid = real_fork()
+        pids.extend([pid] if pid else [])
+        return pid
+    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
+    monkeypatch.setattr(os, "fork", fork)
+    for cpus in (3, 5):
+        monkeypatch.setattr(enumeration, "available_parallelism", lambda: cpus)
+        pids.clear()
+        hist, _, per_worker = full_dos_timed(spec, workers=8)
+        assert hist == serial and len(per_worker) == cpus
+        walks = [pickle.loads((tmp_path / str(pid)).read_bytes())
+                 for pid in [os.getpid(), *pids]]
+        assert walks == make_shards(spec, cpus)
 
 
 @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])

@@ -86,14 +86,19 @@ MUTANTS = {
         [(WALK, "total += flat if weight == 1 else weight * flat",
           "total += flat")]),
     "caller-walks-shard-1": (
-        "the caller walks from shard 1 instead of shard 0",
-        [(WALK, "_walk(spec, shards[::walkers])", "_walk(spec, shards[1::walkers])")]),
+        "the caller walks the last shard instead of shard 0",
+        [(WALK, "_walk(spec, shards[0])", "_walk(spec, shards[-1])")]),
     "caller-walks-only-shard-0": (
-        "the caller walks its first shard only",
-        [(WALK, "_walk(spec, shards[::walkers])", "_walk(spec, shards[:1])")]),
+        "the caller walks the first (range, weight) pair of shard 0 only",
+        [(WALK, "_walk(spec, shards[0])", "_walk(spec, shards[0][:1])")]),
     "worker-walks-first-shard-only": (
-        "a forked worker walks its first shard only",
-        [(WALK, "_walk(spec, shards)\n", "_walk(spec, shards[:1])\n")]),
+        "every forked worker walks shard 0",
+        [(WALK, "_shard_worker(spec, shards[j], write)",
+          "_shard_worker(spec, shards[0], write)")]),
+    "shards-cut-per-worker": (
+        "the walk is cut into one shard per requested worker, not per walker",
+        [(WALK, "shards = make_shards(spec, walkers)",
+          "shards = make_shards(spec, workers)")]),
     "caller-failure-orphans-worker": (
         "the driver's finally no longer kills and reaps started workers",
         [(WALK, "            os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
