@@ -32,7 +32,9 @@ def run_bench(spec: LatticeSpec, worker_counts, repeats: int = 3) -> list[BenchR
     Each count runs `repeats` times; the minimum wall time wins (robust to
     scheduler noise).  The serial runs (the 1-worker runs, or one extra run)
     are the reference every run must match and the speedup baseline.  A
-    record's num_workers is the walkers that ran, at most the usable CPUs.
+    record's num_workers is the walkers that ran, at most the usable CPUs;
+    a count that walks as many walkers as an earlier count runs once, is
+    checked, and adds no record.
 
     Args:
         spec: lattice to enumerate.
@@ -54,20 +56,23 @@ def run_bench(spec: LatticeSpec, worker_counts, repeats: int = 3) -> list[BenchR
               for _ in range(repeats if 1 in counts else 1)]
     reference, baseline, _ = min(serial, key=lambda run: run[1])
 
-    records = []
+    records = {}  # by walkers: a count that walks an earlier count's layout adds none
     for p in counts:
-        runs = serial if p == 1 else [full_dos_timed(spec, workers=p)
-                                      for _ in range(repeats)]
+        runs = serial if p == 1 else [full_dos_timed(spec, workers=p)]
+        walkers = len(runs[0][2])
+        if walkers not in records:
+            runs = runs + [full_dos_timed(spec, workers=p)
+                           for _ in range(repeats - len(runs))]
+            _, wall, per_worker = min(runs, key=lambda run: run[1])
+            records[walkers] = BenchRecord(
+                spec=spec, num_workers=walkers, wall_seconds=wall,
+                per_worker_seconds=per_worker, speedup_vs_one=baseline / wall)
         if any(hist != reference for hist, _, _ in runs):
             raise ResultMismatchError(
                 f"{p}-worker run disagrees with the 1-worker result "
                 f"on {spec.rows}x{spec.cols}x{spec.depth}"
             )
-        _, wall, per_worker = min(runs, key=lambda run: run[1])
-        records.append(BenchRecord(spec=spec, num_workers=len(per_worker),
-                                   wall_seconds=wall, per_worker_seconds=per_worker,
-                                   speedup_vs_one=baseline / wall))
-    return records
+    return list(records.values())
 
 
 def emit_scaling_report(records) -> str:

@@ -1,11 +1,13 @@
 """Command-line interface: enumeration, verification, thermodynamics, benchmarks.
 
-Exit codes: 0 success, 1 validation/check failure or a failed shard
-worker, 2 usage error, 3 I/O error, 130 interrupted (Ctrl-C).  On failure
-the first stderr line is machine-parseable: ``error: <category>: <detail>``
-with category in {validation, parse, check-failed, worker, io,
-interrupted}; ``worker`` is a forked shard worker that exited without its
-result or replied malformed bytes.
+Exit codes: 0 success, 1 validation/check failure, a failed shard worker
+or memory exhausted, 2 usage error, 3 I/O error, 130 interrupted (Ctrl-C).
+On failure the first stderr line is machine-parseable:
+``error: <category>: <detail>`` with category in {validation, parse,
+check-failed, worker, memory, io, interrupted}; ``worker`` is a forked
+shard worker whose walk raised (its traceback follows on the next lines),
+that exited without its result or that replied malformed bytes, and
+``memory`` a MemoryError in this process.
 """
 
 import argparse
@@ -203,6 +205,9 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except WorkerError as exc:
         print(f"error: worker: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except MemoryError as exc:
+        print(f"error: memory: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_FAIL
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

@@ -25,8 +25,6 @@ a tag byte, its walk's seconds, then its bare int64 table, which the
 caller adds to its own."""
 
 import os
-import pickle
-import select
 import signal
 import struct
 import time
@@ -196,12 +194,8 @@ def available_parallelism() -> int:
         return os.cpu_count() or 1
 
 
-class RemoteTraceback(Exception):
-    """The formatted traceback of an exception raised in a shard worker."""
-
-
 class WorkerError(RuntimeError):
-    """A shard worker's reply is missing, of the wrong size, or cannot be rebuilt."""
+    """A shard worker raised, exited without its reply, or replied the wrong size."""
 
 
 def _walk(spec, shard):
@@ -216,17 +210,13 @@ def _shard_worker(spec, shard, fd):
     # fd: a tag byte 0, the walk's seconds as float64, then its int64 table
     # in C order (a forked worker pays RSS for each code path it is first to
     # touch, so no other numpy call); if the walk raised, a tag byte 1, then
-    # the pickle of (pickled exception or None, traceback).
+    # its traceback as UTF-8 text.
     try:
         counts, seconds = _walk(spec, shard)
         reply = b"\0" + struct.pack("d", seconds) + counts.tobytes()
-    except Exception as exc:
+    except Exception:
         import traceback  # only a failed walk needs it
-        try:
-            pickled = pickle.dumps(exc)
-        except Exception:
-            pickled = None
-        reply = b"\1" + pickle.dumps((pickled, traceback.format_exc()))
+        reply = b"\1" + traceback.format_exc().encode(errors="backslashreplace")
     with open(fd, "wb") as pipe:
         pipe.write(reply)
 
@@ -238,10 +228,12 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     fork, each walk one shard of make_shards(spec, walkers).  The caller
     walks shard 0; walker j is a child that os.fork starts before the caller
     walks, and every one is killed and reaped before the call ends.  The
-    caller's own exception is raised as it is, a worker's with its traceback
-    chained as a RemoteTraceback; a worker that exits without replying, or
-    replies the wrong size, raises WorkerError.  Returns (histogram,
-    wall_seconds, per_worker_seconds), the last each walker's walk seconds.
+    caller reads the replies in walker order.  Its own exception is raised
+    as it is; a worker that raised, exited without replying or replied the
+    wrong size raises WorkerError, whose first line names the worker and,
+    if it raised, its exception, followed by the worker's traceback.
+    Returns (histogram, wall_seconds, per_worker_seconds), the last each
+    walker's walk seconds.
     """
     if workers is None:
         # Auto mode walks a lattice of at most one block serially.
@@ -250,13 +242,12 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     _check_count("workers", workers, spec)
     walkers = min(workers, available_parallelism() if hasattr(os, "fork") else 1)
     shards = make_shards(spec, walkers)
-    # Unread replies (read end -> walker) and unreaped workers (walker -> pid).
-    seconds, pending, pids = [None] * walkers, {}, {}
+    # Unread read ends and unreaped workers, by walker.
+    seconds, reads, pids = [None] * walkers, {}, {}
     t0 = time.perf_counter()
     try:
         for j in range(1, walkers):
-            read, write = os.pipe()
-            pending[read] = j
+            reads[j], write = os.pipe()
             try:
                 pids[j] = os.fork()
             except BaseException:
@@ -265,7 +256,7 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
             if not pids[j]:  # the worker: it never returns into the caller's stack
                 code = 1
                 try:
-                    for fd in pending:  # the read ends, its own among them
+                    for fd in reads.values():  # its own among them
                         os.close(fd)
                     _shard_worker(spec, shards[j], write)
                     code = 0
@@ -273,35 +264,27 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
                     os._exit(code)
             os.close(write)  # so the worker's exit ends the pipe
         counts, seconds[0] = _walk(spec, shards[0])
-        while pending:
-            poll = select.poll()
-            for fd in pending:
-                poll.register(fd, select.POLLIN)
-            for fd, _ in poll.poll():
-                j = pending.pop(fd)
-                with open(fd, "rb") as pipe:
-                    reply = pipe.read()
-                code = os.waitstatus_to_exitcode(os.waitpid(pids[j], 0)[1])
-                del pids[j]  # only now: the finally reaps what is still here
-                if not reply:
-                    raise WorkerError(f"shard worker {j} exited with code "
-                                      f"{code} without a result")
-                if reply[0]:  # the walk raised
-                    pickled, detail = pickle.loads(reply[1:])
-                    try:
-                        exc = pickle.loads(pickled)
-                    except Exception:
-                        exc = WorkerError(f"shard worker {j} raised an "
-                                          f"exception that cannot be rebuilt")
-                    raise exc from RemoteTraceback(detail)
-                if len(reply) != 9 + counts.nbytes:
-                    raise WorkerError(f"shard worker {j} replied {len(reply)} "
-                                      f"bytes, not the {9 + counts.nbytes} of a "
-                                      f"tag, a float64 and a {counts.shape} table")
-                (seconds[j],) = struct.unpack_from("d", reply, 1)
-                counts += np.frombuffer(reply, np.int64, offset=9).reshape(counts.shape)
+        # No worker waits on another, so reading in walker order cannot stall.
+        for j in range(1, walkers):
+            with open(reads.pop(j), "rb") as pipe:
+                reply = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[j], 0)[1])
+            del pids[j]  # only now: the finally reaps what is still here
+            if not reply:
+                raise WorkerError(f"shard worker {j} exited with code "
+                                  f"{code} without a result")
+            if reply[0]:  # the walk raised: its traceback ends with the exception
+                detail = reply[1:].decode(errors="replace").rstrip()
+                last = detail.rsplit("\n", 1)[-1]
+                raise WorkerError(f"shard worker {j} raised {last}\n{detail}")
+            if len(reply) != 9 + counts.nbytes:
+                raise WorkerError(f"shard worker {j} replied {len(reply)} "
+                                  f"bytes, not the {9 + counts.nbytes} of a "
+                                  f"tag, a float64 and a {counts.shape} table")
+            (seconds[j],) = struct.unpack_from("d", reply, 1)
+            counts += np.frombuffer(reply, np.int64, offset=9).reshape(counts.shape)
     finally:
-        for fd in pending:
+        for fd in reads.values():
             os.close(fd)
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)

@@ -40,13 +40,15 @@ def test_baseline_without_explicit_one_worker():
     assert records[0].speedup_vs_one > 0
 
 
-@pytest.mark.parametrize("counts,repeats,walks", [
-    ([1], 3, 3), ([1, 2], 2, 4), ([2], 1, 2)],
-    ids=["one-worker", "one-and-two-workers", "two-workers"])
+@pytest.mark.parametrize("counts,repeats,walks,rows", [
+    ([1], 3, 3, [1]), ([1, 2], 2, 4, [1, 2]), ([2], 1, 2, [2]),
+    ([1, 2, 8, 3], 3, 8, [1, 2])],
+    ids=["one-worker", "one-and-two-workers", "two-workers", "repeated-layout"])
 def test_serial_runs_are_the_reference(monkeypatch, two_cpus, counts, repeats,
-                                       walks):
+                                       walks, rows):
     # The requested 1-worker runs double as the reference and the baseline;
-    # only without them does run_bench add one serial walk.
+    # only without them does run_bench add one serial walk.  On two usable
+    # CPUs, 8 and 3 workers walk the layout of 2: one run each, no row.
     real, calls = bench_mod.full_dos_timed, []
 
     def counted(spec_, workers=None, **kwargs):
@@ -56,7 +58,7 @@ def test_serial_runs_are_the_reference(monkeypatch, two_cpus, counts, repeats,
     monkeypatch.setattr(bench_mod, "full_dos_timed", counted)
     records = run_bench(LatticeSpec(2, 3), counts, repeats=repeats)
     assert len(calls) == walks
-    assert [r.num_workers for r in records] == counts
+    assert [r.num_workers for r in records] == rows
 
 
 def test_validates_arguments():

@@ -449,6 +449,33 @@ def test_dead_worker_is_a_worker_error(tmp_path):
     assert not out.exists()
 
 
+def test_worker_memory_error_is_a_worker_error(tmp_path):
+    # The forked worker's walk runs out of memory.
+    out = tmp_path / "dos.csv"
+    starved = PATCHED_WALK.format("    if pieces[0][0].start:\n"
+                                  "        raise MemoryError('no room for the walk')")
+    proc = _run_python("-c", starved, "dos", "--rows", "4", "--cols", "4",
+                       "--workers", "2", "--out", str(out))
+    lines = proc.stderr.splitlines()
+    assert lines[0] == ("error: worker: shard worker 1 raised "
+                        "MemoryError: no room for the walk")
+    assert lines[1].startswith("Traceback")
+    assert proc.returncode == 1
+    assert not out.exists()
+
+
+def test_caller_memory_error_is_a_memory_error(tmp_path):
+    # The caller's own walk runs out of memory while the worker walks.
+    out = tmp_path / "dos.csv"
+    starved = PATCHED_WALK.format("    if not pieces[0][0].start:\n"
+                                  "        raise MemoryError('no room for the walk')")
+    proc = _run_python("-c", starved, "dos", "--rows", "4", "--cols", "4",
+                       "--workers", "2", "--out", str(out))
+    assert proc.stderr.splitlines() == ["error: memory: no room for the walk"]
+    assert proc.returncode == 1
+    assert not out.exists()
+
+
 def test_ctrl_c_is_an_interrupted_error(tmp_path):
     # Ctrl-C reaches the caller's walk while the forked worker still walks.
     out = tmp_path / "dos.csv"
@@ -475,4 +502,4 @@ def test_bench_rows_count_the_walkers_that_ran(tmp_path, two_cpus):
     assert run_cli("bench", "--rows", "3", "--cols", "3", "--workers", "1,2,8",
                    "--repeats", "1", "--out", str(out)) == 0
     rows = out.read_text().splitlines()[1:]
-    assert [row.split(",")[4] for row in rows] == ["1", "2", "2"]
+    assert [row.split(",")[4] for row in rows] == ["1", "2"]

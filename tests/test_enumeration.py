@@ -511,29 +511,13 @@ def test_worker_exception_reaches_the_caller(monkeypatch, spec4x4, deadline,
     def fail():
         raise ArithmeticError("shard walk failed")
     _second_shard_fails(monkeypatch, fail)
-    with pytest.raises(ArithmeticError, match="shard walk failed") as caught:
+    with pytest.raises(enumeration.WorkerError) as caught:
         full_dos(spec4x4, workers=2)
-    # The worker's traceback comes along, as a process pool's would.
-    cause = caught.value.__cause__
-    assert isinstance(cause, enumeration.RemoteTraceback)
-    assert "in fail" in str(cause) and "ArithmeticError" in str(cause)
-    assert not children()
-
-
-class TwoPartError(Exception):
-    # Pickles, but its args do not rebuild it.
-    def __init__(self, what, why):
-        super().__init__(f"{what}: {why}")
-
-
-def test_worker_exception_that_cannot_be_rebuilt(monkeypatch, spec4x4, deadline,
-                                                 two_cpus):
-    def fail():
-        raise TwoPartError("shard", "walk failed")
-    _second_shard_fails(monkeypatch, fail)
-    with pytest.raises(RuntimeError, match="shard worker 1 raised") as caught:
-        full_dos(spec4x4, workers=2)
-    assert "TwoPartError: shard: walk failed" in str(caught.value.__cause__)
+    # The worker's exception first, then its traceback.
+    message = str(caught.value)
+    assert message.splitlines()[0] == (
+        "shard worker 1 raised ArithmeticError: shard walk failed")
+    assert "in fail" in message
     assert not children()
 
 
@@ -569,6 +553,26 @@ def test_worker_that_dies_silently_raises(monkeypatch, spec4x4, deadline,
     with pytest.raises(enumeration.WorkerError,
                        match="shard worker 1 exited with code 3"):
         full_dos(spec4x4, workers=2)
+    assert not children()
+
+
+def test_failed_worker_raises_while_a_later_one_still_walks(monkeypatch, spec4x4,
+                                                            deadline):
+    # Three usable CPUs: worker 1 dies at once, worker 2 would walk for 120 s.
+    real = enumeration.enumerate_shard
+    starts = [shard[0][0].start for shard in enumeration.make_shards(spec4x4, 3)]
+
+    def walk(spec, pieces):
+        if pieces[0][0].start == starts[1]:
+            os._exit(3)
+        if pieces[0][0].start == starts[2]:
+            time.sleep(120)
+        return real(spec, pieces)
+    monkeypatch.setattr(enumeration, "enumerate_shard", walk)
+    monkeypatch.setattr(enumeration, "available_parallelism", lambda: 3)
+    with pytest.raises(enumeration.WorkerError,
+                       match="shard worker 1 exited with code 3"):
+        full_dos(spec4x4, workers=3)
     assert not children()
 
 

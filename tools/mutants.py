@@ -109,7 +109,10 @@ MUTANTS = {
           "code = None")]),
     "dead-worker-accepted": (
         "an empty reply is not checked",
-        [(WALK, "                if not reply:\n", "                if reply is None:\n")]),
+        [(WALK, "            if not reply:\n", "            if reply is None:\n")]),
+    "worker-failure-ignored": (
+        "a traceback reply is not read as one and falls through to the length check",
+        [(WALK, "            if reply[0]:", "            if False:")]),
 }
 
 
