@@ -1,8 +1,9 @@
 """Wall-clock scaling of the sharded enumeration across worker counts.
 
-One monotonic clock, minimum-of-repeats aggregation, and a hard identity
-check: every benchmarked run's histogram must equal the serial reference,
-because the timing of a wrong answer is meaningless.
+One monotonic clock, minimum-of-repeats aggregation for every row and for
+the serial speedup baseline alike, and a hard identity check: every
+benchmarked run's histogram must equal the serial reference, because the
+timing of a wrong answer is meaningless.
 """
 
 from dataclasses import dataclass
@@ -30,8 +31,10 @@ def run_bench(spec: LatticeSpec, worker_counts, repeats: int = 3) -> list[BenchR
     """Measure full-enumeration wall time for each worker count.
 
     Each count runs `repeats` times; the minimum wall time wins (robust to
-    scheduler noise).  The serial runs (the 1-worker runs, or one extra run)
-    are the reference every run must match and the speedup baseline.  A
+    scheduler noise).  The `repeats` serial runs, which are the 1-worker
+    runs if 1 is among the counts, are the reference every run must match,
+    and their minimum is the speedup baseline, so the baseline is as robust
+    to noise as every row it divides.  A
     record's num_workers is the walkers that ran, at most the usable CPUs;
     a count that walks as many walkers as an earlier count runs once, is
     checked, and adds no record.
@@ -52,8 +55,7 @@ def run_bench(spec: LatticeSpec, worker_counts, repeats: int = 3) -> list[BenchR
     if isinstance(repeats, bool) or not isinstance(repeats, int) or repeats < 1:
         raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
 
-    serial = [full_dos_timed(spec, workers=1)
-              for _ in range(repeats if 1 in counts else 1)]
+    serial = [full_dos_timed(spec, workers=1) for _ in range(repeats)]
     reference, baseline, _ = min(serial, key=lambda run: run[1])
 
     records = {}  # by walkers: a count that walks an earlier count's layout adds none

@@ -10,25 +10,27 @@ H*2^k + L.  The anti-aligned bond masks of the 2^k low parts L (per
 periodic axis, the index XOR its masked rotation, packed into uint64 words)
 are tabulated once per shard; the masks are linear over GF(2), so a block
 XORs its base's words into the table, takes one vector popcount per word
-and bins (spin excess, exchange energy) with one bincount.  Only the base's bonds that
-cross the block's boundary change that histogram; the rest shift it.
-Blocks whose bases agree on those bonds form a boundary class (multi-spin
-coding, Jacobs & Rebbi 1981, cut once like Beale's 1996 transfer matrix),
-and each chunk of bases bins each of its classes once.  Each range's table
-is multiplied by its weight once, after its walk.  Counts are exact
-integers and the shard tables add elementwise, so the total is
-bit-identical for any shard count or order of addition.  Like the ranks
-of an MPI program, at most one walker per usable CPU walks one shard each:
-the caller walks shard 0, as rank 0 would, and walker j is a child that
-`os.fork` starts for the call.  A worker writes one reply to a bare pipe:
-a tag byte, its walk's seconds, then its bare int64 table, which the
-caller adds to its own."""
+and bins (spin excess, exchange energy) with one bincount.  Only the
+base's bonds that cross the block's boundary change that histogram; the
+rest shift it.  Blocks whose bases agree on those bonds form a boundary
+class (multi-spin coding, Jacobs & Rebbi 1981, cut once like Beale's 1996
+transfer matrix), and each chunk of bases bins each of its classes once; a
+block that a shard's boundary cuts goes through the same split with its
+rows of the table.  Each range's table is multiplied by its weight once,
+after its walk.  Counts are exact integers and the shard tables add
+elementwise, so the total is bit-identical for any shard count or order
+of addition.  Like the ranks of an MPI program, at most one walker per
+usable CPU walks one shard each: the caller walks shard 0, as rank 0
+would, and walker j is a child that `os.fork` starts for the call.  A
+worker writes one reply to a bare pipe: a tag byte, its walk's seconds,
+then its bare int64 table, which the caller adds to its own."""
 
 import os
 import signal
 import struct
 import time
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 
@@ -107,64 +109,54 @@ def enumerate_shard(spec: LatticeSpec, shard) -> DoSHistogram:
     cells = (n + 1) * (b + 1)
     total = np.zeros(cells, dtype=np.int64)
 
-    def block_counts(words, lo=0, hi=size):
-        # Histogram of ups*(B+1) + anti over table rows [lo, hi) XOR the
-        # scalar bond words, packed in one int with word i at bit 64i.
-        anti = np.bitwise_count(table[0][lo:hi] ^ (words & WORD))
-        for i, word in enumerate(table[1:], 1):
-            anti += np.bitwise_count(word[lo:hi] ^ (words >> 64 * i & WORD))
-        return np.bincount(key_low[lo:hi] + anti)
-
-    def add(counts, shift, times=1):
-        flat[shift:shift + counts.size] += counts if times == 1 else times * counts
-
     # The bonds R that cross a block's boundary: the words of the block mask.
     support = [np.uint64(r) for r in spec.bond_words(size - 1)]
+
+    def bin_blocks(bases, lo=0, hi=size):
+        # Adds rows [lo, hi) of the blocks at the uint64 bases to flat.
+        # A base's words s are zero on the bonds inside the block and every
+        # row's words t on the bonds with no end in it, so only R separates
+        # class from shift: popcount(t ^ s) = popcount(t ^ (s & R)) +
+        # popcount(s & ~R).  A block's histogram is that of its class s & R,
+        # shifted by popcount(s & ~R) anti-aligned bonds, and each class is
+        # binned once.
+        shifts = np.bitwise_count(bases).astype(np.intp) * (b + 1)
+        # A class's key is its words packed in one int, word i at bit 64i.
+        keys = [0] * len(bases)
+        for i, (scalar, r) in enumerate(zip(spec.bond_words(bases), support)):
+            cls = scalar & r
+            shifts += np.bitwise_count(scalar ^ cls)
+            keys = [key | word << 64 * i for key, word in zip(keys, cls.tolist())]
+        # Blocks per (class, shift), keyed key * cells + shift: sorted, each
+        # class's shifts come together, so one class histogram is alive at a
+        # time.
+        blocks = Counter([key * cells + shift
+                          for key, shift in zip(keys, shifts.tolist())])
+        for key, group in groupby(sorted(blocks), lambda cell: cell // cells):
+            anti = np.bitwise_count(table[0][lo:hi] ^ (key & WORD))
+            for i, word in enumerate(table[1:], 1):
+                anti += np.bitwise_count(word[lo:hi] ^ (key >> 64 * i & WORD))
+            counts = np.bincount(key_low[lo:hi] + anti)
+            for cell in group:
+                shift, times = cell % cells, blocks[cell]
+                flat[shift:shift + counts.size] += (counts if times == 1
+                                                    else times * counts)
+
     for rng, weight in shard:
         start, end = rng.start, rng.stop
         flat = np.zeros(cells, dtype=np.int64)  # this range's table
-        # Partial blocks at the range's cuts, each on its own.
+        # A block cut at the range's start or end bins its rows of the table.
         first, stop = -(-start >> k), end >> k  # heads of the whole blocks
         for piece in (range(start, min(end, first << k)),
                       range(max(first, stop) << k, end)):
             if piece:
                 base = piece.start >> k << k
-                words = sum(word << 64 * i
-                            for i, word in enumerate(spec.bond_words(base)))
-                add(block_counts(words, piece.start - base, piece.stop - base),
-                    base.bit_count() * (b + 1))
-
-        # Whole blocks.  A base's words s are zero on the bonds inside the
-        # block and the table's words t on the bonds with no end in it, so
-        # only R separates class from shift: popcount(t ^ s) =
-        # popcount(t ^ (s & R)) + popcount(s & ~R).  A block's histogram is
-        # that of its class s & R, shifted by popcount(s & ~R) anti-aligned
-        # bonds.  Each chunk of bases bins each of its classes once.
+                bin_blocks(np.array([base], dtype=np.uint64),
+                           piece.start - base, piece.stop - base)
         for head in range(first, stop, BASE_CHUNK):
-            bases = (np.arange(head, min(head + BASE_CHUNK, stop), dtype=np.uint64)
-                     << np.uint64(k))
-            shifts = np.bitwise_count(bases).astype(np.intp) * (b + 1)
-            scalars = spec.bond_words(bases)
-            # A class's key is its words packed like block_counts takes them.
-            keys = None
-            for i, (scalar, r) in enumerate(zip(scalars, support)):
-                cls = scalar & r
-                shifts += np.bitwise_count(scalar ^ cls)
-                words = cls.tolist()
-                keys = words if keys is None else [
-                    key | word << 64 * i for key, word in zip(keys, words)]
-            # Blocks per (class, shift), keyed key * cells + shift: sorted,
-            # each class's shifts come together, so one class histogram is
-            # alive at a time.
-            blocks = Counter([key * cells + shift
-                              for key, shift in zip(keys, shifts.tolist())])
-            binned = None
-            for cell in sorted(blocks):
-                key, shift = divmod(cell, cells)
-                if key != binned:
-                    binned, counts = key, block_counts(key)
-                add(counts, shift, blocks[cell])
-        total += flat if weight == 1 else weight * flat
+            bases = np.arange(head, min(head + BASE_CHUNK, stop), dtype=np.uint64)
+            bin_blocks(bases << np.uint64(k))
+        total += weight * flat
     counts = total.reshape(n + 1, b + 1)
     if spec.coupling < 0:
         # E = J * (2*anti - B): column `anti` is the energy index for J > 0,
@@ -195,7 +187,10 @@ def available_parallelism() -> int:
 
 
 class WorkerError(RuntimeError):
-    """A shard worker raised, exited without its reply, or replied the wrong size."""
+    """A shard worker raised, exited without its reply, or replied the wrong size.
+
+    Its first line names the worker and, if it raised, its exception's first line.
+    """
 
 
 def _walk(spec, shard):
@@ -210,13 +205,14 @@ def _shard_worker(spec, shard, fd):
     # fd: a tag byte 0, the walk's seconds as float64, then its int64 table
     # in C order (a forked worker pays RSS for each code path it is first to
     # touch, so no other numpy call); if the walk raised, a tag byte 1, then
-    # its traceback as UTF-8 text.
+    # as UTF-8 text the first line of its exception and its traceback.
     try:
         counts, seconds = _walk(spec, shard)
         reply = b"\0" + struct.pack("d", seconds) + counts.tobytes()
-    except Exception:
+    except Exception as exc:
         import traceback  # only a failed walk needs it
-        reply = b"\1" + traceback.format_exc().encode(errors="backslashreplace")
+        head = traceback.format_exception_only(exc)[0].partition("\n")[0]
+        reply = f"\1{head}\n{traceback.format_exc()}".encode(errors="backslashreplace")
     with open(fd, "wb") as pipe:
         pipe.write(reply)
 
@@ -231,7 +227,7 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     caller reads the replies in walker order.  Its own exception is raised
     as it is; a worker that raised, exited without replying or replied the
     wrong size raises WorkerError, whose first line names the worker and,
-    if it raised, its exception, followed by the worker's traceback.
+    if it raised, its exception's first line, then the worker's traceback.
     Returns (histogram, wall_seconds, per_worker_seconds), the last each
     walker's walk seconds.
     """
@@ -273,10 +269,9 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
             if not reply:
                 raise WorkerError(f"shard worker {j} exited with code "
                                   f"{code} without a result")
-            if reply[0]:  # the walk raised: its traceback ends with the exception
+            if reply[0]:  # the walk raised: its headline, then its traceback
                 detail = reply[1:].decode(errors="replace").rstrip()
-                last = detail.rsplit("\n", 1)[-1]
-                raise WorkerError(f"shard worker {j} raised {last}\n{detail}")
+                raise WorkerError(f"shard worker {j} raised {detail}")
             if len(reply) != 9 + counts.nbytes:
                 raise WorkerError(f"shard worker {j} replied {len(reply)} "
                                   f"bytes, not the {9 + counts.nbytes} of a "

@@ -42,13 +42,14 @@ def test_baseline_without_explicit_one_worker():
 
 @pytest.mark.parametrize("counts,repeats,walks,rows", [
     ([1], 3, 3, [1]), ([1, 2], 2, 4, [1, 2]), ([2], 1, 2, [2]),
-    ([1, 2, 8, 3], 3, 8, [1, 2])],
-    ids=["one-worker", "one-and-two-workers", "two-workers", "repeated-layout"])
+    ([2], 3, 6, [2]), ([1, 2, 8, 3], 3, 8, [1, 2])],
+    ids=["one-worker", "one-and-two-workers", "two-workers",
+         "two-workers-repeated", "repeated-layout"])
 def test_serial_runs_are_the_reference(monkeypatch, two_cpus, counts, repeats,
                                        walks, rows):
-    # The requested 1-worker runs double as the reference and the baseline;
-    # only without them does run_bench add one serial walk.  On two usable
-    # CPUs, 8 and 3 workers walk the layout of 2: one run each, no row.
+    # The `repeats` serial runs are the reference and the baseline, and
+    # double as the 1-worker runs when 1 is requested.  On two usable CPUs,
+    # 8 and 3 workers walk the layout of 2: one run each, no row.
     real, calls = bench_mod.full_dos_timed, []
 
     def counted(spec_, workers=None, **kwargs):

@@ -227,13 +227,14 @@ def test_enumerate_full_range_matches_oracle(monkeypatch, dims, coupling,
         monkeypatch.setattr(enumeration, "BLOCK_BITS", bits)
         dos = enumerate_shard(spec, whole)
         assert dos == expected
-        # A shard that starts 3 indices past a block boundary: the pieces
-        # still add up to the same histogram.
+        # A shard that starts 1, 3 or 2^k - 1 indices past a block
+        # boundary: the pieces still add up to the same histogram.
         size = 1 << min(bits, n)
-        cut = spec.num_configs // 2 // size * size + 3
-        head = enumerate_shard(spec, [(range(0, cut), 1)])
-        tail = enumerate_shard(spec, [(range(cut, spec.num_configs), 1)])
-        assert merge([head, tail]) == dos
+        for past in (1, 3, size - 1):
+            cut = spec.num_configs // 2 // size * size + past
+            head = enumerate_shard(spec, [(range(0, cut), 1)])
+            tail = enumerate_shard(spec, [(range(cut, spec.num_configs), 1)])
+            assert merge([head, tail]) == dos, past
 
 
 # -- symmetry-orbit walk ---------------------------------------------------------
@@ -518,6 +519,23 @@ def test_worker_exception_reaches_the_caller(monkeypatch, spec4x4, deadline,
     assert message.splitlines()[0] == (
         "shard worker 1 raised ArithmeticError: shard walk failed")
     assert "in fail" in message
+    assert not children()
+
+
+def test_worker_headline_is_the_first_line_of_its_exception(monkeypatch, spec4x4,
+                                                            deadline, two_cpus):
+    # A message of two lines and a note (__notes__, which add_note sets
+    # from Python 3.11): neither ends the headline.
+    def fail():
+        exc = ValueError("first line\nsecond line")
+        exc.__notes__ = ["a note"]
+        raise exc
+    _second_shard_fails(monkeypatch, fail)
+    with pytest.raises(enumeration.WorkerError) as caught:
+        full_dos(spec4x4, workers=2)
+    message = str(caught.value)
+    assert message.splitlines()[0] == "shard worker 1 raised ValueError: first line"
+    assert "second line" in message
     assert not children()
 
 

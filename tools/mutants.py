@@ -67,8 +67,17 @@ MUTANTS = {
         [(WALK, "    if spec.coupling < 0:\n", "    if False:\n")]),
     "class-keys-word-0": (
         "boundary classes are keyed on their first bond word only",
-        [(WALK, "key | word << 64 * i for key, word in zip(keys, words)]",
-          "key for key, word in zip(keys, words)]")]),
+        [(WALK, "keys = [key | word << 64 * i for key, word in",
+          "keys = [key if i else word for key, word in")]),
+    "class-count-ignored": (
+        "each (class, shift) is added once, whatever its block count",
+        [(WALK, "shift, times = cell % cells, blocks[cell]",
+          "shift, times = cell % cells, 1")]),
+    "cut-block-rows-ignored": (
+        "a block cut at a range's end bins all its rows, not its own",
+        [(WALK, "bin_blocks(np.array([base], dtype=np.uint64),\n"
+                "                           piece.start - base, piece.stop - base)",
+          "bin_blocks(np.array([base], dtype=np.uint64))")]),
     "class-boundary-none": (
         "R = 0: no bond crosses the block boundary",
         [(WALK, "support = [np.uint64(r) for r in",
@@ -83,8 +92,7 @@ MUTANTS = {
           "want = [], base + (i >= num_shards - extra)")]),
     "range-weight-dropped": (
         "enumerate_shard adds each range's table with weight 1",
-        [(WALK, "total += flat if weight == 1 else weight * flat",
-          "total += flat")]),
+        [(WALK, "total += weight * flat", "total += flat")]),
     "caller-walks-shard-1": (
         "the caller walks the last shard instead of shard 0",
         [(WALK, "_walk(spec, shards[0])", "_walk(spec, shards[-1])")]),
