@@ -7,18 +7,22 @@ On failure the first stderr line is machine-parseable:
 check-failed, worker, memory, io, interrupted}; ``worker`` is a forked
 shard worker whose walk raised (its traceback follows on the next lines),
 that exited without its result or that replied malformed bytes, and
-``memory`` a MemoryError in this process.
+``memory`` a MemoryError in this process.  ``dos`` runs verify_dos on its
+table before writing it: a table that fails is ``check-failed`` with no
+file written, and ``--out`` is written next to its path and renamed over
+it, so no run leaves a partial table.
 """
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
 
 from .bench import ResultMismatchError, emit_scaling_report, run_bench
 from .dosio import DosFileError, format_dos_csv, format_dos_json, read_dos
-from .enumeration import WorkerError, full_dos, full_dos_timed
+from .enumeration import BLOCK_BITS, WorkerError, full_dos, full_dos_timed
 from .lattice import LatticeSpec
 from .oracle import oracle_full_dos
 from .thermo import thermo_sweep
@@ -50,9 +54,18 @@ def _worker_list(text: str) -> list[int]:
 def _write_output(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as f:
+        return
+    # Written next to out and renamed over it, so a run that dies while
+    # writing never leaves a partial file.
+    partial = f"{out}.{os.getpid()}.partial"
+    f = open(partial, "x", encoding="utf-8")
+    try:
+        with f:
             f.write(text)
+        os.replace(partial, out)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def _spec_from_args(args) -> LatticeSpec:
@@ -63,6 +76,11 @@ def _spec_from_args(args) -> LatticeSpec:
 def cmd_dos(args) -> int:
     spec = _spec_from_args(args)
     hist, wall, per_worker = full_dos_timed(spec, workers=args.workers)
+    report = verify_dos(hist)
+    if not report.passed:  # no table that fails its checks is written
+        print(f"error: check-failed: {','.join(report.failed_names())}\n{report}",
+              file=sys.stderr)
+        return EXIT_FAIL
     text = format_dos_json(hist) if args.json else format_dos_csv(hist)
     _write_output(text, args.out)
     # With --out - the table owns stdout, so the summary moves to stderr.
@@ -154,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dos", help="enumerate the full density of states")
     add_lattice_args(p)
     p.add_argument("--workers", type=_positive_int, default=None,
-                   help="walkers <= cores (default cores, 1 to 2^12 configs)")
+                   help=f"walkers <= cores (default cores, 1 to 2^{BLOCK_BITS} configs)")
     p.add_argument("--out", required=True, help="output path, or - for stdout")
     p.add_argument("--json", action="store_true",
                    help="emit a JSON object instead of CSV")

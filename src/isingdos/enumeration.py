@@ -5,47 +5,53 @@ column(s) or layer(s), each weighted by its orbit's size
 (`LatticeSpec.top_orbits`); a lattice too small for ranges of 2^18
 configurations walks [0, 2^N) whole.  `make_shards` cuts the ranges, in
 order, into one near-equal shard of (range, weight) pairs per walker, and
-`enumerate_shard` walks each range in aligned blocks of 2^k indices
-H*2^k + L.  The anti-aligned bond masks of the 2^k low parts L (per
-periodic axis, the index XOR its masked rotation, packed into uint64 words)
-are tabulated once per shard; the masks are linear over GF(2), so a block
-XORs its base's words into the table, takes one vector popcount per word
-and bins (spin excess, exchange energy) with one bincount.  Only the
-base's bonds that cross the block's boundary change that histogram; the
-rest shift it.  Blocks whose bases agree on those bonds form a boundary
-class (multi-spin coding, Jacobs & Rebbi 1981, cut once like Beale's 1996
-transfer matrix), and each chunk of bases bins each of its classes once; a
-block that a shard's boundary cuts goes through the same split with its
-rows of the table.  Each range's table is multiplied by its weight once,
-after its walk.  Counts are exact integers and the shard tables add
-elementwise, so the total is bit-identical for any shard count or order
-of addition.  Like the ranks of an MPI program, at most one walker per
-usable CPU walks one shard each: the caller walks shard 0, as rank 0
-would, and walker j is a child that `os.fork` starts for the call.  A
-worker writes one reply to a bare pipe: a tag byte, its walk's seconds,
-then its bare int64 table, which the caller adds to its own."""
+`enumerate_shard` walks each range as maximal aligned pieces of blocks of
+2^k indices H*2^k + L.  The anti-aligned bond masks (per periodic axis,
+the index XOR its masked rotation, packed into uint64 words) are linear
+over GF(2), so those of the 2^k rows L are the XOR of two half tables, and
+a base H*2^k's are XORed in.  A bond between a row's site p and a boundary
+site q outside the block is L_p XOR x_q: it counts the row's up ends at q
+if x_q = 0 and its down ends if x_q = 1.  So one bincount per piece bins
+the rows by (their up ends at each boundary site that varies within the
+piece, spin excess, bonds inside the block and to the fixed sites), and a
+transform over the varying sites turns that into one block histogram per
+boundary class: the boundary-state factorization of Beale's 1996 transfer
+matrix, cut once at the block (multi-spin coding, Jacobs & Rebbi 1981).
+Each base adds its class's histogram, shifted by its up spins and its
+anti-aligned bonds with no end in the block.  A piece whose patterns
+would pass CELL_CAP cells is halved until they fit, and a block that a
+shard's boundary cuts is a piece of its own rows.  Each range's table is
+multiplied by its weight once, after its walk.  Counts are exact integers
+and the shard tables add elementwise, so the total is bit-identical for
+any shard count or order of addition.  Like the ranks of an MPI program,
+at most one walker per usable CPU walks one shard each: the caller walks
+shard 0, as rank 0 would, and walker j is a child that `os.fork` starts
+for the call.  A worker writes one reply to a bare pipe: a tag byte, its
+walk's seconds, then its bare int64 table, which the caller adds to its
+own."""
 
+import functools
 import os
 import signal
 import struct
 import time
 from collections import Counter
-from itertools import groupby
 
 import numpy as np
 
 from .histogram import DoSHistogram
 from .lattice import LatticeSpec
 
-# Blocks of 2^12 indices keep the table and each step's temporaries in L2.
-# 2^13 walks 5x5 ~20% faster but lifts a shard worker's peak RSS by
-# 0.1-0.25 MB (2^14: ~0.5 MB), which counts once per worker (2-vCPU x86,
-# numpy 2.4).
-BLOCK_BITS = 12
-#: Block bases whose scalars are computed in one vectorized step, and whose
-#: classes are grouped together.
-BASE_CHUNK = 256
-# One uint64 bond word of a packed int.
+# Blocks of 2^14 indices: of 2^12-2^15 the fastest on 5x5 and 4x4 (2-vCPU
+# x86, numpy 2.4; BENCH_25.json).
+BLOCK_BITS = 14
+#: Most cells (boundary patterns x (k+1)(A+1), < 2^31) one piece bins, 320 KB
+#: of int64: a piece that would need more is halved until it fits.  5xN's
+#: pieces (33 600 cells) walk one per top range; 4x5's are halved to 2^17
+#: indices, which keeps test_criterion_7_scaling_shape's 4x5/4x4 wall ratio
+#: near 11 (near 8.7 at 2^16 cells, against its floor of 8).
+CELL_CAP = 5 << 13
+# One uint64 bond word of a Python int.
 WORD = (1 << 64) - 1
 
 
@@ -83,13 +89,108 @@ def make_shards(spec: LatticeSpec, num_shards: int) -> list[list[tuple[range, in
 
 # -- the vectorized walk ----------------------------------------------------
 
+class _Blocks:
+    """A lattice's blocks of 2^k indices, as every walk of it bins them.
+
+    Index H*2^k + L, and row L = L_hi*2^h + L_lo of its block.  The bond
+    words of L are the words of L_hi XOR those of L_lo, the two half
+    tables, and a base H*2^k's words are XORed in.  The bonds R that cross
+    the block's boundary are the words of the block mask; a base's words
+    are zero on the bonds inside the block, and a row's on the bonds with
+    no end in it.
+    """
+
+    def __init__(self, spec: LatticeSpec, k: int, cell_cap: int):
+        self.spec, self.k, self.h = spec, k, k // 2
+        high = np.arange(1 << k - self.h, dtype=np.uint64) << np.uint64(self.h)
+        low = np.arange(1 << self.h, dtype=np.uint64)
+        self.halves = (spec.bond_words(high), spec.bond_words(low))
+        self.ups = [np.bitwise_count(half).astype(np.intp) for half in (high, low)]
+        self.grid = (len(high), len(low))
+        self.support = spec.bond_words((1 << k) - 1)
+        # A block histogram has (k+1) x (A+1) cells (ups, anti-aligned bonds
+        # with an end in the block), A the number of such bonds.
+        ends = [0] * len(self.support)
+        for p in range(k):
+            ends = [e | w for e, w in zip(ends, spec.bond_words(1 << p))]
+        self.anti = sum(e.bit_count() for e in ends) + 1
+        self.row = (k + 1) * self.anti
+        # The boundary sites: each index bit q >= k whose bonds r_q meet R.
+        # A bond of R is L_p XOR x_q for its one end p inside the block, so
+        # the r_q are disjoint, and row L has d_q(L) = popcount(t_L & r_q)
+        # anti-aligned bonds at q if x_q = 0 and deg_q - d_q(L) if x_q = 1.
+        # Both counts add over the ends p in the two halves of the row.
+        self.sites = []
+        for q in range(k, spec.num_spins):
+            bonds = [w & r for w, r in zip(spec.bond_words(1 << q), self.support)]
+            deg = sum(w.bit_count() for w in bonds)
+            if deg:
+                self.sites.append((q, bonds, deg))
+        # Pieces of at most 2^cap indices, whose patterns fit cell_cap cells.
+        self.cap, self.cells = spec.num_spins, self.row
+        for q, _, deg in self.sites:
+            if self.cells * (deg + 1) > cell_cap:
+                self.cap = q
+                break
+            self.cells *= deg + 1
+        self.layouts = {}
+
+    def layout(self, m):
+        """The rows and bases of every piece of 2^m aligned indices, m >= k.
+
+        The boundary sites below bit m vary within the piece and those at
+        or above it are fixed.  Row L's key is pattern(d_q of the varying
+        q) * row + ups * (A+1) + its bonds inside the block, the varying q
+        in decreasing degree, the first the most significant digit.
+        Returns (the rows' keys; the fixed sites' bonds by the half that
+        holds their end, and each half table on them; the varying degrees;
+        pattern cells; each base j*2^k's class, bit i its i-th varying
+        site, times the table's cells plus its ups times B+1; the bases'
+        words on the bonds with no end in the block).
+        """
+        if m not in self.layouts:
+            spec, halves, b = self.spec, self.halves, self.spec.num_bonds
+            varying = sorted((s for s in self.sites if s[0] < m), key=lambda s: -s[2])
+            parts, cells = [ups * self.anti for ups in self.ups], self.row
+            for _, bonds, deg in reversed(varying):
+                for part, words in zip(parts, halves):
+                    for w, r in zip(words, bonds):
+                        part += np.bitwise_count(w & np.uint64(r)).astype(np.intp) * cells
+                cells *= deg + 1
+            keys = np.add.outer(*parts).reshape(-1)
+            for hi, lo, r in zip(*halves, self.support):  # the bonds inside the block
+                inside = np.uint64(WORD ^ r)
+                keys += np.bitwise_count(np.bitwise_xor.outer(hi & inside, lo & inside)
+                                         .reshape(-1))
+            above = spec.bond_words((1 << spec.num_spins) - (1 << m))
+            low = spec.bond_words((1 << self.h) - 1)  # bonds with an end in L_lo
+            fixed = [r & w for r, w in zip(self.support, above)]
+            fixed = ([f & ~e for f, e in zip(fixed, low)], [f & e for f, e in zip(fixed, low)])
+            tables = [[w & np.uint64(f) for w, f in zip(words, bonds)]
+                      for words, bonds in zip(halves, fixed)]
+            j = np.arange(1 << m - self.k, dtype=np.uint64) << np.uint64(self.k)
+            table = (spec.num_spins + 1) * (b + 1)
+            bases = np.bitwise_count(j).astype(np.intp) * (b + 1)
+            for i, (q, _, _) in enumerate(varying):
+                bases += (j >> np.uint64(q) & np.uint64(1)).astype(np.intp) * (table << i)
+            outside = [w & np.uint64(WORD ^ r) for w, r in zip(spec.bond_words(j), self.support)]
+            self.layouts[m] = (keys, fixed, tables, [s[2] for s in varying], cells,
+                               bases, outside)
+        return self.layouts[m]
+
+
+#: The blocks of the last lattices walked, by (spec, k, CELL_CAP): building
+#: them takes ~0.25 ms on 4x4 and ~0.4 ms on 5x5, whose walks then take 0.08
+#: and 2.3 ms (2-vCPU x86, numpy 2.4; BENCH_25.json).
+_blocks = functools.lru_cache(maxsize=4)(_Blocks)
+
+
 def enumerate_shard(spec: LatticeSpec, shard) -> DoSHistogram:
     """g(M, E) of a shard's (range, weight) pairs: each range's table times its weight.
 
     A shard is as make_shards gives it: ranges of step 1 in [0, 2^N), each
     with a positive int weight; a plain walk of [a, b) is [(range(a, b), 1)].
-    The low table is built once for all ranges, and each range's table is
-    weighted once, after its walk, not at each class it adds.
+    Each range's table is weighted once, after its walk.
     """
     for rng, weight in shard:
         if (rng.step != 1 or not 0 <= rng.start <= rng.stop <= spec.num_configs
@@ -99,65 +200,88 @@ def enumerate_shard(spec: LatticeSpec, shard) -> DoSHistogram:
                              f"2^{spec.num_spins} configurations")
     n, b = spec.num_spins, spec.num_bonds
     k = min(BLOCK_BITS, n)
-    size = 1 << k
-    # Index H*2^k + L: the bond words of L come from the table, those of the
-    # base H*2^k are scalars XORed into it, and the up spins of both add.
-    # key = ups*(B+1) + anti is the flat (spin excess, energy) cell.
-    low = np.arange(size, dtype=np.uint64)
-    table = spec.bond_words(low)
-    key_low = np.bitwise_count(low).astype(np.intp) * (b + 1)
-    cells = (n + 1) * (b + 1)
-    total = np.zeros(cells, dtype=np.int64)
+    blocks = _blocks(spec, k, CELL_CAP)
+    grid, anti = blocks.grid, blocks.anti
+    # Each step over the 2^k rows writes into a buffer of this call, as a
+    # temporary of 2^14 rows costs a fresh mapping each time.  The rows'
+    # keys and the transform's output share it: the keys are dead once
+    # binned.
+    spare = np.empty(max(1 << k, blocks.cells), dtype=np.intp)
+    keys = spare[:1 << k]
+    total = np.zeros((n + 1, b + 1), dtype=np.int64)
+    flat = np.empty_like(total)  # a range's table
 
-    # The bonds R that cross a block's boundary: the words of the block mask.
-    support = [np.uint64(r) for r in spec.bond_words(size - 1)]
-
-    def bin_blocks(bases, lo=0, hi=size):
-        # Adds rows [lo, hi) of the blocks at the uint64 bases to flat.
-        # A base's words s are zero on the bonds inside the block and every
-        # row's words t on the bonds with no end in it, so only R separates
-        # class from shift: popcount(t ^ s) = popcount(t ^ (s & R)) +
-        # popcount(s & ~R).  A block's histogram is that of its class s & R,
-        # shifted by popcount(s & ~R) anti-aligned bonds, and each class is
-        # binned once.
-        shifts = np.bitwise_count(bases).astype(np.intp) * (b + 1)
-        # A class's key is its words packed in one int, word i at bit 64i.
-        keys = [0] * len(bases)
-        for i, (scalar, r) in enumerate(zip(spec.bond_words(bases), support)):
-            cls = scalar & r
-            shifts += np.bitwise_count(scalar ^ cls)
-            keys = [key | word << 64 * i for key, word in zip(keys, cls.tolist())]
-        # Blocks per (class, shift), keyed key * cells + shift: sorted, each
-        # class's shifts come together, so one class histogram is alive at a
-        # time.
-        blocks = Counter([key * cells + shift
-                          for key, shift in zip(keys, shifts.tolist())])
-        for key, group in groupby(sorted(blocks), lambda cell: cell // cells):
-            anti = np.bitwise_count(table[0][lo:hi] ^ (key & WORD))
-            for i, word in enumerate(table[1:], 1):
-                anti += np.bitwise_count(word[lo:hi] ^ (key >> 64 * i & WORD))
-            counts = np.bincount(key_low[lo:hi] + anti)
-            for cell in group:
-                shift, times = cell % cells, blocks[cell]
-                flat[shift:shift + counts.size] += (counts if times == 1
-                                                    else times * counts)
+    def add_piece(base, m, lo=0, hi=1 << k):
+        # Adds to flat the rows [lo, hi) of the blocks of the aligned piece
+        # of 2^m indices at base.
+        key, fixed, tables, degs, pattern, bases, outside = blocks.layout(m)
+        # Each half adds its anti-aligned bonds to the fixed sites, t ^ s on
+        # their bonds, along its axis of the rows.
+        s = spec.bond_words(base)
+        for bonds, words, axis in zip(fixed, tables, (1, 0)):
+            if any(bonds):
+                part = sum(np.bitwise_count(w ^ np.uint64(x & f))
+                           for w, x, f in zip(words, s, bonds) if f)
+                np.add(key.reshape(grid), np.expand_dims(part.astype(np.intp), axis),
+                       out=keys.reshape(grid))
+                key = keys
+        src = np.bincount(key[lo:hi], minlength=pattern)
+        # Per varying site, its axis of deg + 1 values d becomes 2: x_q = 0
+        # adds the slice of d shifted by d bonds, x_q = 1 shifted by deg - d.
+        # Every other term counts bonds with an end in the block off r_q, so
+        # no shift carries a nonzero cell past its row of A+1, not even
+        # across rows.  Site i's two values go in front of the rest, at bit
+        # i of the class, so that its slices are whole 1D runs: a ufunc on
+        # strided 2D views of short rows buffers (~190 KB a call) and is
+        # slower.
+        out, rows = spare, 1
+        for deg in degs:
+            x = src.reshape(rows, deg + 1, -1)
+            y = out[:src.size // (deg + 1) * 2].reshape(2, rows, -1)
+            y[0], y[1] = x[:, 0], x[:, deg]
+            if deg == 1:  # through a copy of d = 0 in src, now free
+                y0, y1 = y[0].reshape(-1), y[1].reshape(-1)
+                copy = src[:y0.size]
+                copy[:] = y0
+                y0[1:] += y1[:-1]
+                y1[1:] += copy[:-1]
+            else:  # first, or after other sites of degree > 1
+                for d in range(1, deg + 1):
+                    y[0, :, d:] += x[:, d, :-d]
+                    y[1, :, d:] += x[:, deg - d, :-d]
+            src, out, rows = y.reshape(-1), src, rows * 2
+        hist = src.reshape(rows, k + 1, anti)
+        # Each base adds the histogram of its class, its varying sites' bits,
+        # at its ups and its anti-aligned bonds with no end in the block;
+        # bases of one (class, ups, bonds) are counted together.
+        pairs = bases + base.bit_count() * (b + 1)
+        for w, x, r in zip(outside, s, blocks.support):
+            pairs += np.bitwise_count(w ^ np.uint64(x & ~r))
+        for pair, count in Counter(pairs.tolist()).items():
+            cls, at = divmod(pair, total.size)
+            ups, bonds = divmod(at, b + 1)
+            cell = flat[ups:ups + k + 1, bonds:bonds + anti]
+            cell += hist[cls] if count == 1 else count * hist[cls]
 
     for rng, weight in shard:
         start, end = rng.start, rng.stop
-        flat = np.zeros(cells, dtype=np.int64)  # this range's table
+        flat[:] = 0
         # A block cut at the range's start or end bins its rows of the table.
         first, stop = -(-start >> k), end >> k  # heads of the whole blocks
         for piece in (range(start, min(end, first << k)),
                       range(max(first, stop) << k, end)):
             if piece:
                 base = piece.start >> k << k
-                bin_blocks(np.array([base], dtype=np.uint64),
-                           piece.start - base, piece.stop - base)
-        for head in range(first, stop, BASE_CHUNK):
-            bases = np.arange(head, min(head + BASE_CHUNK, stop), dtype=np.uint64)
-            bin_blocks(bases << np.uint64(k))
+                add_piece(base, k, piece.start - base, piece.stop - base)
+        # The whole blocks, as maximal aligned pieces of at most 2^cap indices.
+        head = first
+        while head < stop:
+            m = min((head & -head or 1 << n).bit_length() - 1,
+                    (stop - head).bit_length() - 1, blocks.cap - k)
+            add_piece(head << k, m + k)
+            head += 1 << m
         total += weight * flat
-    counts = total.reshape(n + 1, b + 1)
+    counts = total
     if spec.coupling < 0:
         # E = J * (2*anti - B): column `anti` is the energy index for J > 0,
         # and J < 0 mirrors the energy axis.

@@ -489,6 +489,46 @@ def test_ctrl_c_is_an_interrupted_error(tmp_path):
     assert not out.exists()
 
 
+def test_dos_never_writes_a_table_that_fails_its_checks(tmp_path):
+    # The walk miscounts one configuration: the table fails verify_dos, and
+    # neither --out nor a partial file is written.
+    out = tmp_path / "dos.csv"
+    miscounted = PATCHED_WALK.format("    hist = real(spec, pieces)\n"
+                                     "    hist.counts[0, 0] += 1\n"
+                                     "    return hist")
+    proc = _run_python("-c", miscounted, "dos", "--rows", "4", "--cols", "4",
+                       "--workers", "1", "--out", str(out))
+    lines = proc.stderr.splitlines()
+    assert lines[0] == ("error: check-failed: total-count,binomial-marginals,"
+                        "flip-symmetry")
+    assert "FAIL total-count: 65537 != 2^16 = 65536" in lines
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dos_replaces_out_whole_or_not_at_all(tmp_path):
+    # Interrupted after the table is written but before it is renamed over
+    # --out: the old file stays as it was, and no partial file is left.
+    out = tmp_path / "dos.csv"
+    out.write_text("old table\n", encoding="utf-8")
+    cut = PATCHED_WALK.format("    def replace(src, dst):\n"
+                              "        raise KeyboardInterrupt\n"
+                              "    cli.os.replace = replace")
+    proc = _run_python("-c", cut, "dos", "--rows", "4", "--cols", "4",
+                       "--workers", "1", "--out", str(out))
+    assert proc.stderr.splitlines() == ["error: interrupted: keyboard interrupt"]
+    assert proc.returncode == 130
+    assert out.read_text(encoding="utf-8") == "old table\n"
+    assert list(tmp_path.iterdir()) == [out]
+    # Uninterrupted, the same run replaces it with the table.
+    proc = _run_python("-c", PATCHED_WALK.format(""), "dos", "--rows", "4",
+                       "--cols", "4", "--workers", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert read_dos(str(out)) == full_dos(LatticeSpec(4, 4), workers=1)
+    assert list(tmp_path.iterdir()) == [out]
+
+
 # -- walkers, not requested workers -------------------------------------------------
 
 def test_dos_reports_the_walkers_that_ran(capsys, two_cpus):

@@ -193,8 +193,8 @@ def test_enumerate_block_bits_is_invisible(monkeypatch):
 
 
 def test_whole_walk_bins_each_boundary_class_once(monkeypatch):
-    # 5x5 at 2^12-index blocks: the 2^13 bases fall in 2^10 classes, each
-    # binned once in its 256-base chunk.
+    # One bincount per piece, whatever its boundary classes: the transform
+    # over the piece's boundary sites gives every class's histogram.
     real, calls = np.bincount, []
 
     def bincount(*args, **kwargs):
@@ -202,12 +202,61 @@ def test_whole_walk_bins_each_boundary_class_once(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(np, "bincount", bincount)
     spec = LatticeSpec(5, 5)
+    # [0, 2^25) at 2^14-index blocks: the boundary sites below bit 20 fit
+    # CELL_CAP (4 * 2^4 patterns of 15 * 35 cells) and site 20 would double
+    # them, so 32 pieces of 2^20.
     enumerate_shard(spec, [(range(spec.num_configs), 1)])
-    assert len(calls) == 1024
-    # The orbit walk: 8 top ranges of 2^20, each binning its 32 classes.
+    assert len(calls) == 32
+    # The orbit walk: 8 top ranges of 2^20, each one piece.
     del calls[:]
     full_dos(spec, workers=1)
-    assert len(calls) == 8 * 32
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("dims,coupling", [((5, 8, 1), 1), ((2, 2, 6), -1)])
+def test_pieces_halved_to_fit_the_cell_cap_keep_the_table(monkeypatch, dims,
+                                                          coupling):
+    # A low cap splits each piece into more, smaller ones; every split
+    # walks the same indices once.  On 5x8 the top slice of
+    # test_enumerate_top_slice_matches_oracle at 2^3-index blocks (512 whole
+    # blocks), against the oracle; on 2x2x6 the orbit walk, against itself
+    # at the default cap.
+    spec = LatticeSpec(*dims, coupling=coupling)
+    if spec.num_spins > 24:
+        start = spec.num_configs - 5 * (1 << BLOCK_BITS) - 2000
+        shard = [(range(start, start + 4096), 1)]
+        expected = _oracle_slice(spec, shard[0][0])
+        monkeypatch.setattr(enumeration, "BLOCK_BITS", 3)
+    else:
+        shard = make_shards(spec, 1)[0]
+        expected = enumerate_shard(spec, shard)
+    real, calls = np.bincount, []
+
+    def bincount(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np, "bincount", bincount)
+    pieces = []
+    for cap in (1 << 20, 1 << 15, 1 << 10, 1 << 9, 1):
+        monkeypatch.setattr(enumeration, "CELL_CAP", cap)
+        del calls[:]
+        assert enumerate_shard(spec, shard) == expected, cap
+        pieces.append(len(calls))
+    assert pieces == sorted(pieces) and len(set(pieces)) >= 3, pieces
+
+
+# SHA-256 of the int64 tables of full_dos, each equal to
+# benchmarks/tests/test_reference.py's transfer_matrix_counts for the same
+# lattice (a transfer matrix that shares no code with the walk), from which
+# they were pinned.  5x7 walks 2^35 configurations, 4x8 2^32.
+@pytest.mark.parametrize("dims,coupling,digest", [
+    ((5, 7), 1, "7f99328837bb7c60048d36d19489e4045b4cb6719543fc6882caa403053553d7"),
+    ((5, 7), -1, "627636399f58b7d696571e8dbe1d67cfd9fd5de7e9c5c546774091ce51f87eb1"),
+    ((4, 8), 1, "fa341a8a0f6c5cc3d9faea5d14bfa37c5d386c5447218f81aad8b96ca772cb33"),
+])
+def test_large_tables_keep_their_transfer_matrix_digest(dims, coupling, digest):
+    counts = full_dos(LatticeSpec(*dims, coupling=coupling), workers=1).counts
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
 
 
 # Every boundary shape the axis rotations handle: a length-2 axis on each

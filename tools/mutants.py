@@ -66,33 +66,44 @@ MUTANTS = {
         "J < 0 tables keep the J > 0 energy axis",
         [(WALK, "    if spec.coupling < 0:\n", "    if False:\n")]),
     "class-keys-word-0": (
-        "boundary classes are keyed on their first bond word only",
-        [(WALK, "keys = [key | word << 64 * i for key, word in",
-          "keys = [key if i else word for key, word in")]),
+        "boundary sites keep only their bonds in the first bond word",
+        [(WALK, "zip(spec.bond_words(1 << q), self.support)]",
+          "zip(spec.bond_words(1 << q)[:1], self.support)] + [0] * 2")]),
     "class-count-ignored": (
-        "each (class, shift) is added once, whatever its block count",
-        [(WALK, "shift, times = cell % cells, blocks[cell]",
-          "shift, times = cell % cells, 1")]),
+        "each (class, shift) is added once, whatever its base count",
+        [(WALK, "cell += hist[cls] if count == 1 else count * hist[cls]",
+          "cell += hist[cls]")]),
     "cut-block-rows-ignored": (
         "a block cut at a range's end bins all its rows, not its own",
-        [(WALK, "bin_blocks(np.array([base], dtype=np.uint64),\n"
-                "                           piece.start - base, piece.stop - base)",
-          "bin_blocks(np.array([base], dtype=np.uint64))")]),
+        [(WALK, "add_piece(base, k, piece.start - base, piece.stop - base)",
+          "add_piece(base, k)")]),
     "class-boundary-none": (
         "R = 0: no bond crosses the block boundary",
-        [(WALK, "support = [np.uint64(r) for r in",
-          "support = [np.uint64(0) for r in")]),
+        [(WALK, "self.support = spec.bond_words((1 << k) - 1)",
+          "self.support = [0 for _ in spec.bond_words((1 << k) - 1)]")]),
     "class-boundary-all": (
         "R = all bits: every bond crosses the block boundary",
-        [(WALK, "support = [np.uint64(r) for r in",
-          "support = [np.uint64(WORD) for r in")]),
+        [(WALK, "self.support = spec.bond_words((1 << k) - 1)",
+          "self.support = [WORD for _ in spec.bond_words((1 << k) - 1)]")]),
+    "site-one-shifted-by-d": (
+        "value 1 of a varying site of degree > 1 shifts pattern d by d, not deg - d",
+        [(WALK, "y[0], y[1] = x[:, 0], x[:, deg]", "y[0], y[1] = x[:, 0], x[:, 0]"),
+         (WALK, "y[1, :, d:] += x[:, deg - d, :-d]", "y[1, :, d:] += x[:, d, :-d]")]),
+    "varying-site-fixed": (
+        "a piece's highest varying site is binned as fixed at its base's value",
+        [(WALK, "(s for s in self.sites if s[0] < m)", "(s for s in self.sites if s[0] < m - 1)"),
+         (WALK, "(1 << spec.num_spins) - (1 << m)", "(1 << spec.num_spins) - (1 << m - 1)")]),
+    "cap-split-walks-half-twice": (
+        "after a piece the cap cut, the walk steps half a piece and walks its second half again",
+        [(WALK, "            head += 1 << m\n",
+          "            head += 1 << m - (0 < m == blocks.cap - k)\n")]),
     "deal-extra-to-last": (
         "make_shards gives its extra indices to the last shards, not the first",
         [(WALK, "want = [], base + (i < extra)",
           "want = [], base + (i >= num_shards - extra)")]),
     "range-weight-dropped": (
         "enumerate_shard adds each range's table with weight 1",
-        [(WALK, "total += weight * flat", "total += flat")]),
+        [(WALK, "total += weight * flat\n", "total += flat\n")]),
     "caller-walks-shard-1": (
         "the caller walks the last shard instead of shard 0",
         [(WALK, "_walk(spec, shards[0])", "_walk(spec, shards[-1])")]),
