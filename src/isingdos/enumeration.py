@@ -42,8 +42,10 @@ import numpy as np
 from .histogram import DoSHistogram
 from .lattice import LatticeSpec
 
-# Blocks of 2^14 indices: of 2^12-2^15 the fastest on 5x5 and 4x4 (2-vCPU
-# x86, numpy 2.4; BENCH_25.json).
+# Blocks of 2^14 indices: 2^12 and 2^13 walk every lattice tried slower;
+# 2^15 walks most faster (5x5 2.1 against 2.6 ms, 3x4x2 21 against 32 ms)
+# but doubles the 2^k-row arrays, and the benchmark counts a faster 5x5 as
+# more memory (2-vCPU x86, numpy 2.4; BENCH_25.json).
 BLOCK_BITS = 14
 #: Most cells (boundary patterns x (k+1)(A+1), < 2^31) one piece bins, 320 KB
 #: of int64: a piece that would need more is halved until it fits.  5xN's
