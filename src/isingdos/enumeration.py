@@ -182,8 +182,8 @@ class _Blocks:
 
 
 #: The blocks of the last lattices walked, by (spec, k, CELL_CAP): building
-#: them takes ~0.25 ms on 4x4 and ~0.4 ms on 5x5, whose walks then take 0.08
-#: and 2.3 ms (2-vCPU x86, numpy 2.4; BENCH_25.json).
+#: them takes ~0.25 ms on 4x4 and 0.2-0.4 ms on 5x5, whose walks then take
+#: 0.08 and ~2.5 ms (2-vCPU x86, numpy 2.4; BENCH_25.json).
 _blocks = functools.lru_cache(maxsize=4)(_Blocks)
 
 
