@@ -162,7 +162,7 @@ def test_enumerate_tall_columns_without_tables():
 # above 32; 2x2x6 packs three 24-bit masks into two words, with J = -1.  So
 # both key their boundary classes on more than one word.
 @pytest.mark.parametrize("dims,coupling", [((5, 8, 1), 1), ((2, 2, 6), -1)])
-@pytest.mark.parametrize("block_bits", [0, 1, 3, BLOCK_BITS])
+@pytest.mark.parametrize("block_bits", [0, 1, 3, 12, BLOCK_BITS])
 def test_enumerate_top_slice_matches_oracle(monkeypatch, dims, coupling,
                                             block_bits):
     # 4096 indices near the top of the index space, straddling the block
