@@ -9,13 +9,17 @@ shard worker whose walk raised (its traceback follows on the next lines),
 that exited without its result or that replied malformed bytes, and
 ``memory`` a MemoryError in this process.  ``dos`` runs verify_dos on its
 table before writing it: a table that fails is ``check-failed`` with no
-file written, and ``--out`` is written next to its path and renamed over
-it, so no run leaves a partial table.
+file written.  Every command writes a new or regular ``--out`` file next
+to its path and renames it over it, so no run leaves a partial file; a
+symlink, device or FIFO (``/dev/stdout``, ``/dev/null``) is written in
+place.
 """
 
 import argparse
+import contextlib
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -55,13 +59,28 @@ def _write_output(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
         return
-    # Written next to out and renamed over it, so a run that dies while
-    # writing never leaves a partial file.
+    try:
+        old = os.lstat(out)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        # A symlink, device or FIFO (/dev/stdout, /dev/null, a pipe) is
+        # written in place: a rename would replace the link or the node.
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
+        return
+    # A new or regular file is written next to out, with its mode and,
+    # where the process may give it, its owner, and renamed over it, so a
+    # run that dies while writing never leaves a partial file.
     partial = f"{out}.{os.getpid()}.partial"
     f = open(partial, "x", encoding="utf-8")
     try:
         with f:
             f.write(text)
+        if old is not None:
+            os.chmod(partial, stat.S_IMODE(old.st_mode))
+            with contextlib.suppress(PermissionError):
+                os.chown(partial, old.st_uid, old.st_gid)
         os.replace(partial, out)
     except BaseException:
         os.unlink(partial)

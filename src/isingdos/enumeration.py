@@ -47,12 +47,14 @@ from .lattice import LatticeSpec
 # but doubles the 2^k-row arrays, and the benchmark counts a faster 5x5 as
 # more memory (2-vCPU x86, numpy 2.4; BENCH_25.json).
 BLOCK_BITS = 14
-#: Most cells (boundary patterns x (k+1)(A+1), < 2^31) one piece bins, 320 KB
-#: of int64: a piece that would need more is halved until it fits.  5xN's
-#: pieces (33 600 cells) walk one per top range; 4x5's are halved to 2^17
-#: indices, which keeps test_criterion_7_scaling_shape's 4x5/4x4 wall ratio
-#: near 11 (near 8.7 at 2^16 cells, against its floor of 8).
-CELL_CAP = 5 << 13
+#: Most cells (boundary patterns x (k+1)(A+1), < 2^31) one piece bins: a
+#: piece that would need more is halved until it fits.  From 2^16 on, each
+#: top range of the benchmark lattices is one piece (5x5 33 600 cells,
+#: 2x2x6 47 040), and 2^16, 2^17 and 2^18 walk them equally fast; 40 960
+#: walks 2x2x6 ~3x slower.  At 2^16 test_criterion_7_scaling_shape's
+#: 4x5/4x4 ratio read 8.1-9.2 against its floor of 8, at 2^17 9.5-10.9
+#: (2-vCPU x86, numpy 2.4; BENCH_25.json).
+CELL_CAP = 1 << 17
 # One uint64 bond word of a Python int.
 WORD = (1 << 64) - 1
 
@@ -181,10 +183,13 @@ class _Blocks:
         return self.layouts[m]
 
 
-#: The blocks of the last lattices walked, by (spec, k, CELL_CAP): building
-#: them takes ~0.25 ms on 4x4 and 0.2-0.4 ms on 5x5, whose walks then take
-#: 0.08 and ~2.5 ms (2-vCPU x86, numpy 2.4; BENCH_25.json).
-_blocks = functools.lru_cache(maxsize=4)(_Blocks)
+@functools.lru_cache(maxsize=4)
+def _blocks(rows, cols, depth, k, cell_cap):
+    # The blocks of the last lattices walked, by geometry (J only mirrors
+    # the finished table): building them takes ~0.25 ms on 4x4 and
+    # 0.2-0.4 ms on 5x5, whose walks then take 0.08 and ~2.5 ms (2-vCPU
+    # x86, numpy 2.4; BENCH_25.json).
+    return _Blocks(LatticeSpec(rows, cols, depth), k, cell_cap)
 
 
 def enumerate_shard(spec: LatticeSpec, shard) -> DoSHistogram:
@@ -202,7 +207,7 @@ def enumerate_shard(spec: LatticeSpec, shard) -> DoSHistogram:
                              f"2^{spec.num_spins} configurations")
     n, b = spec.num_spins, spec.num_bonds
     k = min(BLOCK_BITS, n)
-    blocks = _blocks(spec, k, CELL_CAP)
+    blocks = _blocks(spec.rows, spec.cols, spec.depth, k, CELL_CAP)
     grid, anti = blocks.grid, blocks.anti
     # Each step over the 2^k rows writes into a buffer of this call, as a
     # temporary of 2^14 rows costs a fresh mapping each time.  The rows'

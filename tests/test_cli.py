@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -527,6 +528,41 @@ def test_dos_replaces_out_whole_or_not_at_all(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert read_dos(str(out)) == full_dos(LatticeSpec(4, 4), workers=1)
     assert list(tmp_path.iterdir()) == [out]
+
+
+def test_dos_writes_a_fifo_in_place(tmp_path):
+    # A FIFO --out (as /dev/stdout or a process substitution can be) gets
+    # the table and stays a FIFO; nothing else is made beside it.
+    fifo = tmp_path / "dos.csv"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli("dos", "--rows", "2", "--cols", "2", "--workers", "1",
+                       "--out", str(fifo)) == 0
+        text = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert parse_dos(text).cells() == DOS_2X2_CELLS
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_dos_writes_through_a_symlink_and_keeps_a_file_mode(tmp_path):
+    # A symlinked --out stays a link to its file, which gets the table; a
+    # regular --out keeps its mode across the rename.
+    table = tmp_path / "table.csv"
+    table.write_text("old table\n", encoding="utf-8")
+    link = tmp_path / "dos.csv"
+    link.symlink_to(table)
+    assert run_cli("dos", "--rows", "2", "--cols", "2", "--workers", "1",
+                   "--out", str(link)) == 0
+    assert link.is_symlink() and link.resolve() == table
+    assert parse_dos(table.read_text()).cells() == DOS_2X2_CELLS
+    table.chmod(0o640)
+    assert run_cli("dos", "--rows", "2", "--cols", "2", "--workers", "1",
+                   "--out", str(table)) == 0
+    assert stat.S_IMODE(table.stat().st_mode) == 0o640
+    assert sorted(tmp_path.iterdir()) == [link, table]
 
 
 # -- walkers, not requested workers -------------------------------------------------

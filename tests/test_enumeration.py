@@ -202,15 +202,25 @@ def test_whole_walk_bins_each_boundary_class_once(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(np, "bincount", bincount)
     spec = LatticeSpec(5, 5)
-    # [0, 2^25) at 2^14-index blocks: the boundary sites below bit 20 fit
-    # CELL_CAP (4 * 2^4 patterns of 15 * 35 cells) and site 20 would double
-    # them, so 32 pieces of 2^20.
+    # [0, 2^25) at 2^14-index blocks: the boundary sites below bit 21 fit
+    # CELL_CAP (4 * 2^5 patterns of 15 * 35 cells) and site 21 would double
+    # them, so 16 pieces of 2^21.
     enumerate_shard(spec, [(range(spec.num_configs), 1)])
-    assert len(calls) == 32
+    assert len(calls) == 16
     # The orbit walk: 8 top ranges of 2^20, each one piece.
     del calls[:]
     full_dos(spec, workers=1)
     assert len(calls) == 8
+
+
+def test_couplings_of_one_lattice_share_its_plan():
+    # The plan of a lattice's blocks depends on its geometry alone: J only
+    # mirrors the finished table.
+    enumeration._blocks.cache_clear()
+    full_dos(LatticeSpec(2, 3), workers=1)
+    full_dos(LatticeSpec(2, 3, coupling=-1), workers=1)
+    info = enumeration._blocks.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 @pytest.mark.parametrize("dims,coupling", [((5, 8, 1), 1), ((2, 2, 6), -1)])

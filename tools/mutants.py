@@ -89,6 +89,9 @@ MUTANTS = {
         "value 1 of a varying site of degree > 1 shifts pattern d by d, not deg - d",
         [(WALK, "y[0], y[1] = x[:, 0], x[:, deg]", "y[0], y[1] = x[:, 0], x[:, 0]"),
          (WALK, "y[1, :, d:] += x[:, deg - d, :-d]", "y[1, :, d:] += x[:, d, :-d]")]),
+    "site-of-degree-one-unshifted": (
+        "value 1 of a varying site of degree 1 adds its d = 0 counts unshifted",
+        [(WALK, "                y1[1:] += copy[:-1]\n", "                y1 += copy\n")]),
     "varying-site-fixed": (
         "a piece's highest varying site is binned as fixed at its base's value",
         [(WALK, "(s for s in self.sites if s[0] < m)", "(s for s in self.sites if s[0] < m - 1)"),
@@ -97,6 +100,10 @@ MUTANTS = {
         "after a piece the cap cut, the walk steps half a piece and walks its second half again",
         [(WALK, "            head += 1 << m\n",
           "            head += 1 << m - (0 < m == blocks.cap - k)\n")]),
+    "out-special-file-renamed": (
+        "a FIFO or symlink --out is written next to it and renamed over it",
+        [("src/isingdos/cli.py", "if old is not None and not stat.S_ISREG(old.st_mode):",
+          "if False:")]),
     "deal-extra-to-last": (
         "make_shards gives its extra indices to the last shards, not the first",
         [(WALK, "want = [], base + (i < extra)",
