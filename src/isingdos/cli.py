@@ -79,7 +79,7 @@ def _write_output(text: str, out: str) -> None:
             f.write(text)
         if old is not None:
             os.chmod(partial, stat.S_IMODE(old.st_mode))
-            with contextlib.suppress(PermissionError):
+            with contextlib.suppress(PermissionError, AttributeError):  # no chown on Windows
                 os.chown(partial, old.st_uid, old.st_gid)
         os.replace(partial, out)
     except BaseException:
