@@ -26,7 +26,7 @@ import numpy as np
 
 from .bench import ResultMismatchError, emit_scaling_report, run_bench
 from .dosio import DosFileError, format_dos_csv, format_dos_json, read_dos
-from .enumeration import BLOCK_BITS, WorkerError, full_dos, full_dos_timed
+from .enumeration import WorkerError, full_dos, full_dos_timed
 from .lattice import LatticeSpec
 from .oracle import oracle_full_dos
 from .thermo import thermo_sweep
@@ -191,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dos", help="enumerate the full density of states")
     add_lattice_args(p)
     p.add_argument("--workers", type=_positive_int, default=None,
-                   help=f"walkers <= cores (default cores, 1 to 2^{BLOCK_BITS} configs)")
+                   help="walkers <= cores (default cores, 1 for a lattice of one block)")
     p.add_argument("--out", required=True, help="output path, or - for stdout")
     p.add_argument("--json", action="store_true",
                    help="emit a JSON object instead of CSV")

@@ -6,7 +6,8 @@ column(s) or layer(s), each weighted by its orbit's size
 configurations walks [0, 2^N) whole.  `make_shards` cuts the ranges, in
 order, into one near-equal shard of (range, weight) pairs per walker, and
 `enumerate_shard` walks each range as maximal aligned pieces of blocks of
-2^k indices H*2^k + L.  The anti-aligned bond masks (per periodic axis,
+2^k indices H*2^k + L, k the one of 14-17 whose plan the lattice's walk
+costs least (`_block_bits`).  The anti-aligned bond masks (per periodic axis,
 the index XOR its masked rotation, packed into uint64 words) are linear
 over GF(2), so those of the 2^k rows L are the XOR of two half tables, and
 a base H*2^k's are XORed in.  A bond between a row's site p and a boundary
@@ -31,6 +32,7 @@ walk's seconds, then its bare int64 table, which the caller adds to its
 own."""
 
 import functools
+import math
 import os
 import signal
 import struct
@@ -42,19 +44,20 @@ import numpy as np
 from .histogram import DoSHistogram
 from .lattice import LatticeSpec
 
-# Blocks of 2^14 indices: 2^12 and 2^13 walk every lattice tried slower;
-# 2^15 walks most faster (5x5 2.1 against 2.6 ms, 3x4x2 21 against 32 ms)
-# but doubles the 2^k-row arrays, and the benchmark counts a faster 5x5 as
-# more memory (2-vCPU x86, numpy 2.4; BENCH_25.json).
-BLOCK_BITS = 14
+#: The k of the blocks of 2^k indices that a lattice's walk chooses from:
+#: the one whose plan costs least (`_block_bits`); a single k forces it.
+#: 12 and 13 walked every lattice tried slower than 14 (BENCH_25.json); of
+#: 14-17, 5x5 and 5x6 walk fastest at 15, 4x5 and 2x2x5 at 16, and 3x4x2
+#: and most 36-40-spin lattices at 17 (2-vCPU x86, numpy 2.4;
+#: BENCH_26.json).
+BLOCK_BITS = (14, 15, 16, 17)
 #: Most cells (boundary patterns x (k+1)(A+1), < 2^31) one piece bins: a
-#: piece that would need more is halved until it fits.  From 2^16 on, each
-#: top range of the benchmark lattices is one piece (5x5 33 600 cells,
-#: 2x2x6 47 040), and 2^16, 2^17 and 2^18 walk them equally fast; 40 960
-#: walks 2x2x6 ~3x slower.  At 2^16 test_criterion_7_scaling_shape's
-#: 4x5/4x4 ratio read 8.1-9.2 against its floor of 8, at 2^17 9.5-10.9
-#: (2-vCPU x86, numpy 2.4; BENCH_25.json).
-CELL_CAP = 1 << 17
+#: piece that would need more is halved until it fits.  In 3D the cap sets
+#: the piece size: 2x4x5 at k = 16 walks pieces of 2^23 indices in 24 s at
+#: 2^17 cells and of 2^32 in 1.6 s at 2^18.  Larger pieces bin and
+#: transform out of cache: with each lattice at its own k, 2^18 walks the
+#: 31 lattices in 9.6 s, 2^19 in 10.1 s, 2^20 in 10.7 s (BENCH_26.json).
+CELL_CAP = 1 << 18
 # One uint64 bond word of a Python int.
 WORD = (1 << 64) - 1
 
@@ -182,14 +185,57 @@ class _Blocks:
                                bases, outside)
         return self.layouts[m]
 
+    def cost(self, bits):
+        """Estimated seconds of a walk of one aligned range of 2^bits >= 2^k indices.
+
+        Each piece of 2^m indices pays a call, bins its 2^k rows, bins and
+        transforms its pattern cells and makes one add per (class, ups,
+        bonds) of its bases: at most one per base, and at most the classes
+        times the m - k + 1 ups and B - A + 1 bond counts its bases shift
+        by.  The seconds per piece, row, cell and add are a least-squares
+        fit to serial walks of 31 lattices at k = 14-17 and caps 2^17-2^21;
+        at 2^18 cells the k it picks walks each within 1.26x of its fastest
+        (2-vCPU x86, numpy 2.4; BENCH_26.json).
+        """
+        m = max(min(bits, self.cap), self.k)
+        degs = [deg for q, _, deg in self.sites if q < m]
+        cells = self.row * math.prod(deg + 1 for deg in degs)
+        free = m - self.k
+        shifts = (free + 1) * (self.spec.num_bonds - self.anti + 2)
+        adds = min(1 << free, shifts << len(degs))
+        piece = 3.0e-5 + 2.3e-9 * (1 << self.k) + 3.1e-9 * cells + 4.7e-7 * adds
+        return piece * 2 ** (bits - m)
+
 
 @functools.lru_cache(maxsize=4)
 def _blocks(rows, cols, depth, k, cell_cap):
     # The blocks of the last lattices walked, by geometry (J only mirrors
-    # the finished table): building them takes ~0.25 ms on 4x4 and
-    # 0.2-0.4 ms on 5x5, whose walks then take 0.08 and ~2.5 ms (2-vCPU
-    # x86, numpy 2.4; BENCH_25.json).
+    # the finished table): a first walk of 4x4, which chooses k and builds
+    # the plan and its layouts, takes ~0.7 ms, and a later one ~0.1 ms
+    # (2-vCPU x86, numpy 2.4; BENCH_26.json).
     return _Blocks(LatticeSpec(rows, cols, depth), k, cell_cap)
+
+
+@functools.lru_cache(maxsize=None)
+def _cheapest(rows, cols, depth, bits, choices, cell_cap):
+    # The k of choices whose blocks walk a range of 2^bits indices at least
+    # cost; its plan is built again when walked (~0.1 ms per k).
+    spec = LatticeSpec(rows, cols, depth)
+    return min(choices, key=lambda k: _Blocks(spec, k, cell_cap).cost(bits))
+
+
+def _block_bits(spec: LatticeSpec) -> int:
+    """k of the spec's blocks of 2^k indices, every walk of it alike.
+
+    Of BLOCK_BITS, each at most N, the k whose plan walks a top range of
+    spec.top_orbits at least cost.
+    """
+    n = spec.num_spins
+    choices = tuple(sorted({min(k, n) for k in BLOCK_BITS}))
+    if len(choices) == 1:
+        return choices[0]
+    bits = len(spec.top_orbits[0][0]).bit_length() - 1
+    return _cheapest(spec.rows, spec.cols, spec.depth, bits, choices, CELL_CAP)
 
 
 def enumerate_shard(spec: LatticeSpec, shard) -> DoSHistogram:
@@ -206,11 +252,11 @@ def enumerate_shard(spec: LatticeSpec, shard) -> DoSHistogram:
             raise ValueError(f"shard piece ({rng}, {weight!r}) invalid for "
                              f"2^{spec.num_spins} configurations")
     n, b = spec.num_spins, spec.num_bonds
-    k = min(BLOCK_BITS, n)
+    k = _block_bits(spec)
     blocks = _blocks(spec.rows, spec.cols, spec.depth, k, CELL_CAP)
     grid, anti = blocks.grid, blocks.anti
     # Each step over the 2^k rows writes into a buffer of this call, as a
-    # temporary of 2^14 rows costs a fresh mapping each time.  The rows'
+    # temporary of 2^k rows costs a fresh mapping each time.  The rows'
     # keys and the transform's output share it: the keys are dead once
     # binned.
     spare = np.empty(max(1 << k, blocks.cells), dtype=np.intp)
@@ -365,7 +411,7 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     if workers is None:
         # Auto mode walks a lattice of at most one block serially.
         workers = (available_parallelism()
-                   if spec.num_configs > 1 << BLOCK_BITS else 1)
+                   if spec.num_configs > 1 << _block_bits(spec) else 1)
     _check_count("workers", workers, spec)
     walkers = min(workers, available_parallelism() if hasattr(os, "fork") else 1)
     shards = make_shards(spec, walkers)

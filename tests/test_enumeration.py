@@ -160,17 +160,23 @@ def test_enumerate_tall_columns_without_tables():
 
 # 5x8 packs its two 40-bit axis masks into two words and has index bits
 # above 32; 2x2x6 packs three 24-bit masks into two words, with J = -1.  So
-# both key their boundary classes on more than one word.
+# both key their boundary classes on more than one word.  block_bits None
+# walks at the lattice's own k, which is one of BLOCK_BITS.
 @pytest.mark.parametrize("dims,coupling", [((5, 8, 1), 1), ((2, 2, 6), -1)])
-@pytest.mark.parametrize("block_bits", [0, 1, 3, 12, BLOCK_BITS])
+@pytest.mark.parametrize("block_bits", [0, 1, 3, 12, *BLOCK_BITS, None])
 def test_enumerate_top_slice_matches_oracle(monkeypatch, dims, coupling,
                                             block_bits):
-    # 4096 indices near the top of the index space, straddling the block
-    # boundary 5 default blocks below 2^N (and many more smaller blocks).
     spec = LatticeSpec(*dims, coupling=coupling)
-    start = spec.num_configs - 5 * (1 << BLOCK_BITS) - 2000
+    if block_bits is None:
+        block_bits = enumeration._block_bits(spec)
+        assert block_bits in BLOCK_BITS
+    else:
+        monkeypatch.setattr(enumeration, "BLOCK_BITS", (block_bits,))
+    # 4096 indices near the top of the index space, straddling the block
+    # boundary 5 blocks of 2^max(k, 14) below 2^N (and many more smaller
+    # blocks).
+    start = spec.num_configs - 5 * (1 << max(block_bits, 14)) - 2000
     shard = range(start, start + 4096)
-    monkeypatch.setattr(enumeration, "BLOCK_BITS", block_bits)
     dos = enumerate_shard(spec, [(shard, 1)])
     assert dos.total() == 4096
     assert dos == _oracle_slice(spec, shard)
@@ -188,8 +194,25 @@ def test_enumerate_block_bits_is_invisible(monkeypatch):
     shard = make_shards(spec, 1)[0]
     reference = enumerate_shard(spec, shard)
     for block_bits in (0, 1, 3, spec.num_spins, spec.num_spins + 8):
-        monkeypatch.setattr(enumeration, "BLOCK_BITS", block_bits)
+        monkeypatch.setattr(enumeration, "BLOCK_BITS", (block_bits,))
         assert enumerate_shard(spec, shard) == reference
+
+
+@pytest.mark.parametrize("dims,k", [((5, 5), 15), ((4, 6), 14), ((2, 4, 5), 16)])
+def test_each_lattice_walks_at_its_cheapest_block_bits(dims, k):
+    # 5x5 takes three whole columns; 2x4x5 two whole layers, whose boundary
+    # is 16 sites of degree 1.
+    assert enumeration._block_bits(LatticeSpec(*dims)) == k
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (3, 4, 2), (2, 2, 7)])
+def test_tables_at_the_chosen_block_bits_equal_those_at_14(monkeypatch, dims):
+    spec = LatticeSpec(*dims)
+    k = enumeration._block_bits(spec)
+    assert k != 14
+    chosen = full_dos(spec, workers=1)
+    monkeypatch.setattr(enumeration, "BLOCK_BITS", (14,))
+    assert full_dos(spec, workers=1) == chosen
 
 
 def test_whole_walk_bins_each_boundary_class_once(monkeypatch):
@@ -202,11 +225,12 @@ def test_whole_walk_bins_each_boundary_class_once(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(np, "bincount", bincount)
     spec = LatticeSpec(5, 5)
-    # [0, 2^25) at 2^14-index blocks: the boundary sites below bit 21 fit
-    # CELL_CAP (4 * 2^5 patterns of 15 * 35 cells) and site 21 would double
-    # them, so 16 pieces of 2^21.
+    # [0, 2^25) at 2^15-index blocks, three whole columns: the boundary
+    # sites are the other two columns, each of degree 1.  Those below bit
+    # 23 fit CELL_CAP (2^8 patterns of 16 * 36 cells) and site 23 would
+    # double them, so 4 pieces of 2^23.
     enumerate_shard(spec, [(range(spec.num_configs), 1)])
-    assert len(calls) == 16
+    assert len(calls) == 4
     # The orbit walk: 8 top ranges of 2^20, each one piece.
     del calls[:]
     full_dos(spec, workers=1)
@@ -229,17 +253,19 @@ def test_pieces_halved_to_fit_the_cell_cap_keep_the_table(monkeypatch, dims,
     # A low cap splits each piece into more, smaller ones; every split
     # walks the same indices once.  On 5x8 the top slice of
     # test_enumerate_top_slice_matches_oracle at 2^3-index blocks (512 whole
-    # blocks), against the oracle; on 2x2x6 the orbit walk, against itself
-    # at the default cap.
+    # blocks), against the oracle; on 2x2x6 the orbit walk at its own k,
+    # against itself at the default cap.  k stays fixed as the cap falls.
     spec = LatticeSpec(*dims, coupling=coupling)
     if spec.num_spins > 24:
-        start = spec.num_configs - 5 * (1 << BLOCK_BITS) - 2000
+        start = spec.num_configs - 5 * (1 << 14) - 2000
         shard = [(range(start, start + 4096), 1)]
         expected = _oracle_slice(spec, shard[0][0])
-        monkeypatch.setattr(enumeration, "BLOCK_BITS", 3)
+        monkeypatch.setattr(enumeration, "BLOCK_BITS", (3,))
     else:
         shard = make_shards(spec, 1)[0]
         expected = enumerate_shard(spec, shard)
+        monkeypatch.setattr(enumeration, "BLOCK_BITS",
+                            (enumeration._block_bits(spec),))
     real, calls = np.bincount, []
 
     def bincount(*args, **kwargs):
@@ -247,7 +273,7 @@ def test_pieces_halved_to_fit_the_cell_cap_keep_the_table(monkeypatch, dims,
         return real(*args, **kwargs)
     monkeypatch.setattr(np, "bincount", bincount)
     pieces = []
-    for cap in (1 << 20, 1 << 15, 1 << 10, 1 << 9, 1):
+    for cap in (1 << 20, 1 << 13, 1 << 12, 1 << 11, 1 << 10, 1 << 9, 1):
         monkeypatch.setattr(enumeration, "CELL_CAP", cap)
         del calls[:]
         assert enumerate_shard(spec, shard) == expected, cap
@@ -283,7 +309,7 @@ def test_enumerate_full_range_matches_oracle(monkeypatch, dims, coupling,
     expected = oracle_dos(spec)
     n = spec.num_spins
     for bits in (0, 1, 3, n, n + 1):
-        monkeypatch.setattr(enumeration, "BLOCK_BITS", bits)
+        monkeypatch.setattr(enumeration, "BLOCK_BITS", (bits,))
         dos = enumerate_shard(spec, whole)
         assert dos == expected
         # A shard that starts 1, 3 or 2^k - 1 indices past a block
@@ -513,7 +539,7 @@ def test_full_dos_timed_reports_workers(spec4x4, dos4x4, two_cpus):
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 4)])
 def test_auto_workers_walk_one_block_serially(monkeypatch, dims):
-    # At most 2^BLOCK_BITS configurations: auto mode forks nothing.
+    # A lattice of one block: auto mode forks nothing.
     spec = LatticeSpec(*dims)
     expected = full_dos(spec, workers=1)
     monkeypatch.setattr(os, "fork", None)
