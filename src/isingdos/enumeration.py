@@ -7,7 +7,7 @@ configurations walks [0, 2^N) whole.  `make_shards` cuts the ranges, in
 order, into one near-equal shard of (range, weight) pairs per walker, and
 `enumerate_shard` walks each range as maximal aligned pieces of blocks of
 2^k indices H*2^k + L, k the one of 14-17 whose plan the lattice's walk
-costs least (`_block_bits`).  The anti-aligned bond masks (per periodic axis,
+costs least (`_plan`).  The anti-aligned bond masks (per periodic axis,
 the index XOR its masked rotation, packed into uint64 words) are linear
 over GF(2), so those of the 2^k rows L are the XOR of two half tables, and
 a base H*2^k's are XORed in.  A bond between a row's site p and a boundary
@@ -45,7 +45,7 @@ from .histogram import DoSHistogram
 from .lattice import LatticeSpec
 
 #: The k of the blocks of 2^k indices that a lattice's walk chooses from:
-#: the one whose plan costs least (`_block_bits`); a single k forces it.
+#: the one whose plan costs least (`_plan`); a single k forces it.
 #: 12 and 13 walked every lattice tried slower than 14 (BENCH_25.json); of
 #: 14-17, 5x5 and 5x6 walk fastest at 15, 4x5 and 2x2x5 at 16, and 3x4x2
 #: and most 36-40-spin lattices at 17 (2-vCPU x86, numpy 2.4;
@@ -207,35 +207,24 @@ class _Blocks:
         return piece * 2 ** (bits - m)
 
 
-@functools.lru_cache(maxsize=4)
-def _blocks(rows, cols, depth, k, cell_cap):
-    # The blocks of the last lattices walked, by geometry (J only mirrors
-    # the finished table): a first walk of 4x4, which chooses k and builds
-    # the plan and its layouts, takes ~0.7 ms, and a later one ~0.1 ms
-    # (2-vCPU x86, numpy 2.4; BENCH_26.json).
-    return _Blocks(LatticeSpec(rows, cols, depth), k, cell_cap)
+@functools.lru_cache(maxsize=16)
+def _plan(rows, cols, depth, block_bits, cell_cap):
+    """The blocks every walk of a rows x cols x depth lattice bins by.
 
-
-@functools.lru_cache(maxsize=None)
-def _cheapest(rows, cols, depth, bits, choices, cell_cap):
-    # The k of choices whose blocks walk a range of 2^bits indices at least
-    # cost; its plan is built again when walked (~0.1 ms per k).
-    spec = LatticeSpec(rows, cols, depth)
-    return min(choices, key=lambda k: _Blocks(spec, k, cell_cap).cost(bits))
-
-
-def _block_bits(spec: LatticeSpec) -> int:
-    """k of the spec's blocks of 2^k indices, every walk of it alike.
-
-    Of BLOCK_BITS, each at most N, the k whose plan walks a top range of
-    spec.top_orbits at least cost.
+    Of the k in block_bits, each clipped to N, the plan that walks a top
+    range of spec.top_orbits at least cost; of equal costs, the least k.
+    Keyed on geometry alone, as J only mirrors the finished table.  The 16
+    slots hold the 10 geometries that a round of the benchmark's 12 small
+    lattices cycles through: with 4 a serial round rebuilt every plan,
+    3.2-3.6 ms against 0.9-1.0 ms.  A walked plan holds 0.14 MB (4x4) to
+    2.7 MB (2x4x5), its layouts most of it, and building one adds ~0.7 ms
+    to a ~2.1 ms 5x5 walk (2-vCPU x86, numpy 2.4; BENCH_27.json).
     """
-    n = spec.num_spins
-    choices = tuple(sorted({min(k, n) for k in BLOCK_BITS}))
-    if len(choices) == 1:
-        return choices[0]
+    spec = LatticeSpec(rows, cols, depth)
     bits = len(spec.top_orbits[0][0]).bit_length() - 1
-    return _cheapest(spec.rows, spec.cols, spec.depth, bits, choices, CELL_CAP)
+    return min((_Blocks(spec, k, cell_cap)
+                for k in sorted({min(k, spec.num_spins) for k in block_bits})),
+               key=lambda blocks: blocks.cost(bits))
 
 
 def enumerate_shard(spec: LatticeSpec, shard) -> DoSHistogram:
@@ -252,9 +241,8 @@ def enumerate_shard(spec: LatticeSpec, shard) -> DoSHistogram:
             raise ValueError(f"shard piece ({rng}, {weight!r}) invalid for "
                              f"2^{spec.num_spins} configurations")
     n, b = spec.num_spins, spec.num_bonds
-    k = _block_bits(spec)
-    blocks = _blocks(spec.rows, spec.cols, spec.depth, k, CELL_CAP)
-    grid, anti = blocks.grid, blocks.anti
+    blocks = _plan(spec.rows, spec.cols, spec.depth, BLOCK_BITS, CELL_CAP)
+    k, grid, anti = blocks.k, blocks.grid, blocks.anti
     # Each step over the 2^k rows writes into a buffer of this call, as a
     # temporary of 2^k rows costs a fresh mapping each time.  The rows'
     # keys and the transform's output share it: the keys are dead once
@@ -408,10 +396,11 @@ def full_dos_timed(spec: LatticeSpec, workers: int | None = None):
     Returns (histogram, wall_seconds, per_worker_seconds), the last each
     walker's walk seconds.
     """
+    # The plan, built before any fork so that every walker inherits it.
+    k = _plan(spec.rows, spec.cols, spec.depth, BLOCK_BITS, CELL_CAP).k
     if workers is None:
         # Auto mode walks a lattice of at most one block serially.
-        workers = (available_parallelism()
-                   if spec.num_configs > 1 << _block_bits(spec) else 1)
+        workers = available_parallelism() if spec.num_configs > 1 << k else 1
     _check_count("workers", workers, spec)
     walkers = min(workers, available_parallelism() if hasattr(os, "fork") else 1)
     shards = make_shards(spec, walkers)

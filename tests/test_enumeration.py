@@ -29,6 +29,12 @@ from conftest import DOS_2X2_CELLS, children, oracle_cell
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _chosen_k(spec):
+    # k of the plan that every walk of spec bins by.
+    return enumeration._plan(spec.rows, spec.cols, spec.depth,
+                             enumeration.BLOCK_BITS, enumeration.CELL_CAP).k
+
+
 # -- sharding -----------------------------------------------------------------
 
 # 4x4 and 2x2 walk [0, 2^N) whole (w = 0): each shard is one range of
@@ -168,7 +174,7 @@ def test_enumerate_top_slice_matches_oracle(monkeypatch, dims, coupling,
                                             block_bits):
     spec = LatticeSpec(*dims, coupling=coupling)
     if block_bits is None:
-        block_bits = enumeration._block_bits(spec)
+        block_bits = _chosen_k(spec)
         assert block_bits in BLOCK_BITS
     else:
         monkeypatch.setattr(enumeration, "BLOCK_BITS", (block_bits,))
@@ -190,25 +196,34 @@ def test_enumerate_top_slice_matches_oracle(monkeypatch, dims, coupling,
 
 
 def test_enumerate_block_bits_is_invisible(monkeypatch):
+    # Each BLOCK_BITS walks its own k, at most N, to the same table.
     spec = LatticeSpec(3, 4)
     shard = make_shards(spec, 1)[0]
     reference = enumerate_shard(spec, shard)
+    real, walked = enumeration._Blocks.layout, set()
+
+    def layout(blocks, m):
+        walked.add(blocks.k)
+        return real(blocks, m)
+    monkeypatch.setattr(enumeration._Blocks, "layout", layout)
     for block_bits in (0, 1, 3, spec.num_spins, spec.num_spins + 8):
         monkeypatch.setattr(enumeration, "BLOCK_BITS", (block_bits,))
+        walked.clear()
         assert enumerate_shard(spec, shard) == reference
+        assert walked == {min(block_bits, spec.num_spins)}, block_bits
 
 
 @pytest.mark.parametrize("dims,k", [((5, 5), 15), ((4, 6), 14), ((2, 4, 5), 16)])
 def test_each_lattice_walks_at_its_cheapest_block_bits(dims, k):
     # 5x5 takes three whole columns; 2x4x5 two whole layers, whose boundary
     # is 16 sites of degree 1.
-    assert enumeration._block_bits(LatticeSpec(*dims)) == k
+    assert _chosen_k(LatticeSpec(*dims)) == k
 
 
 @pytest.mark.parametrize("dims", [(3, 3, 3), (3, 4, 2), (2, 2, 7)])
 def test_tables_at_the_chosen_block_bits_equal_those_at_14(monkeypatch, dims):
     spec = LatticeSpec(*dims)
-    k = enumeration._block_bits(spec)
+    k = _chosen_k(spec)
     assert k != 14
     chosen = full_dos(spec, workers=1)
     monkeypatch.setattr(enumeration, "BLOCK_BITS", (14,))
@@ -240,11 +255,37 @@ def test_whole_walk_bins_each_boundary_class_once(monkeypatch):
 def test_couplings_of_one_lattice_share_its_plan():
     # The plan of a lattice's blocks depends on its geometry alone: J only
     # mirrors the finished table.
-    enumeration._blocks.cache_clear()
+    enumeration._plan.cache_clear()
     full_dos(LatticeSpec(2, 3), workers=1)
     full_dos(LatticeSpec(2, 3, coupling=-1), workers=1)
-    info = enumeration._blocks.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    info = enumeration._plan.cache_info()
+    assert (info.hits, info.misses) == (3, 1)  # the driver's and the walk's
+
+
+def test_each_geometry_builds_its_plan_once():
+    # Plans are kept across walks: 6 geometries walked twice build 6,
+    # where a cache of the last 4 would build all 12.
+    enumeration._plan.cache_clear()
+    shapes = [(2, 2), (3, 3), (3, 4), (4, 4), (2, 2, 2), (2, 2, 3)]
+    for _ in range(2):
+        for dims in shapes:
+            full_dos(LatticeSpec(*dims), workers=1)
+    info = enumeration._plan.cache_info()
+    assert info.misses == info.currsize == len(shapes)
+
+
+def test_forked_walkers_inherit_the_plan(monkeypatch, spec4x4, two_cpus):
+    # A first walk builds its plan before the driver forks, so the walker
+    # inherits it rather than building its own.
+    enumeration._plan.cache_clear()
+    real, cached = os.fork, []
+
+    def fork():
+        cached.append(enumeration._plan.cache_info().currsize)
+        return real()
+    monkeypatch.setattr(os, "fork", fork)
+    full_dos(spec4x4, workers=2)
+    assert cached == [1]
 
 
 @pytest.mark.parametrize("dims,coupling", [((5, 8, 1), 1), ((2, 2, 6), -1)])
@@ -264,8 +305,7 @@ def test_pieces_halved_to_fit_the_cell_cap_keep_the_table(monkeypatch, dims,
     else:
         shard = make_shards(spec, 1)[0]
         expected = enumerate_shard(spec, shard)
-        monkeypatch.setattr(enumeration, "BLOCK_BITS",
-                            (enumeration._block_bits(spec),))
+        monkeypatch.setattr(enumeration, "BLOCK_BITS", (_chosen_k(spec),))
     real, calls = np.bincount, []
 
     def bincount(*args, **kwargs):
@@ -293,6 +333,15 @@ def test_pieces_halved_to_fit_the_cell_cap_keep_the_table(monkeypatch, dims,
 def test_large_tables_keep_their_transfer_matrix_digest(dims, coupling, digest):
     counts = full_dos(LatticeSpec(*dims, coupling=coupling), workers=1).counts
     assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
+
+
+def test_3d_table_above_24_spins_keeps_its_walk_digest():
+    # A regression pin from the walk itself, not an independent check: no
+    # engine that shares no code with the walk reaches 3D above 24 spins.
+    # 3x3x4 (2^36 configurations) gave this SHA-256 at k = 14 and k = 17.
+    counts = full_dos(LatticeSpec(3, 3, 4), workers=1).counts
+    assert (hashlib.sha256(counts.tobytes()).hexdigest()
+            == "90aac13fbc2863799d8736031efaddc945d74f531d48d0ff99cfb7d5e4d163bb")
 
 
 # Every boundary shape the axis rotations handle: a length-2 axis on each

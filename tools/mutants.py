@@ -100,13 +100,14 @@ MUTANTS = {
         "after a piece the cap cut, the walk steps half a piece and walks its second half again",
         [(WALK, "            head += 1 << m\n",
           "            head += 1 << m - (0 < m == blocks.cap - k)\n")]),
-    "plan-cache-ignores-k": (
-        "the plan cache is keyed on the geometry and cap, not on k",
-        [(WALK, "def _blocks(rows, cols, depth, k, cell_cap):\n",
-          "def _blocks(rows, cols, depth, cell_cap):\n"
-          "    k = _block_bits(LatticeSpec(rows, cols, depth))\n"),
-         (WALK, "_blocks(spec.rows, spec.cols, spec.depth, k, CELL_CAP)",
-          "_blocks(spec.rows, spec.cols, spec.depth, CELL_CAP)")]),
+    "plan-cache-ignores-block-bits": (
+        "the plan cache is keyed on the geometry and cap, not on BLOCK_BITS",
+        [(WALK, "for k in sorted({min(k, spec.num_spins) for k in block_bits})",
+          "for k in sorted({min(k, spec.num_spins) for k in BLOCK_BITS})"),
+         (WALK, "blocks = _plan(spec.rows, spec.cols, spec.depth, BLOCK_BITS, CELL_CAP)",
+          "blocks = _plan(spec.rows, spec.cols, spec.depth, None, CELL_CAP)"),
+         (WALK, "k = _plan(spec.rows, spec.cols, spec.depth, BLOCK_BITS, CELL_CAP).k",
+          "k = _plan(spec.rows, spec.cols, spec.depth, None, CELL_CAP).k")]),
     "out-special-file-renamed": (
         "a FIFO or symlink --out is written next to it and renamed over it",
         [("src/isingdos/cli.py", "if old is not None and not stat.S_ISREG(old.st_mode):",
