@@ -73,7 +73,10 @@ def _write_output(text: str, out: str) -> None:
     # where the process may give it, its owner, and renamed over it, so a
     # run that dies while writing never leaves a partial file.
     partial = f"{out}.{os.getpid()}.partial"
-    f = open(partial, "x", encoding="utf-8")
+    try:
+        f = open(partial, "x", encoding="utf-8")
+    except OSError as exc:  # reported against the path the user gave
+        raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with f:
             f.write(text)

@@ -189,21 +189,15 @@ class _Blocks:
         """Estimated seconds of a walk of one aligned range of 2^bits >= 2^k indices.
 
         Each piece of 2^m indices pays a call, bins its 2^k rows, bins and
-        transforms its pattern cells and makes one add per (class, ups,
-        bonds) of its bases: at most one per base, and at most the classes
-        times the m - k + 1 ups and B - A + 1 bond counts its bases shift
-        by.  The seconds per piece, row, cell and add are a least-squares
-        fit to serial walks of 31 lattices at k = 14-17 and caps 2^17-2^21;
-        at 2^18 cells the k it picks walks each within 1.26x of its fastest
+        transforms its pattern cells and makes one add per base.  The
+        seconds per piece, row, cell and add are a least-squares fit to
+        serial walks of 31 lattices at k = 14-17 and caps 2^17-2^21; at
+        2^18 cells the k it picks walks each within 1.26x of its fastest
         (2-vCPU x86, numpy 2.4; BENCH_26.json).
         """
-        m = max(min(bits, self.cap), self.k)
-        degs = [deg for q, _, deg in self.sites if q < m]
-        cells = self.row * math.prod(deg + 1 for deg in degs)
-        free = m - self.k
-        shifts = (free + 1) * (self.spec.num_bonds - self.anti + 2)
-        adds = min(1 << free, shifts << len(degs))
-        piece = 3.0e-5 + 2.3e-9 * (1 << self.k) + 3.1e-9 * cells + 4.7e-7 * adds
+        m = min(bits, self.cap)
+        cells = self.row * math.prod(deg + 1 for q, _, deg in self.sites if q < m)
+        piece = 3.0e-5 + 2.3e-9 * (1 << self.k) + 3.1e-9 * cells + 4.7e-7 * (1 << m - self.k)
         return piece * 2 ** (bits - m)
 
 

@@ -82,7 +82,9 @@ def test_dos_unwritable_path_is_io_error(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "dos.csv"
     assert run_cli("dos", "--rows", "2", "--cols", "2",
                    "--workers", "1", "--out", str(missing)) == 3
-    assert "error: io:" in capsys.readouterr().err
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error: io:")
+    assert f"'{missing}'" in first and ".partial" not in first
 
 
 def test_dos_rejects_zero_workers():

@@ -213,10 +213,14 @@ def test_enumerate_block_bits_is_invisible(monkeypatch):
         assert walked == {min(block_bits, spec.num_spins)}, block_bits
 
 
-@pytest.mark.parametrize("dims,k", [((5, 5), 15), ((4, 6), 14), ((2, 4, 5), 16)])
+@pytest.mark.parametrize("dims,k", [((5, 5), 15), ((4, 6), 14), ((2, 4, 5), 16),
+                                    ((2, 2, 6), 16), ((5, 8), 17), ((3, 3, 4), 17),
+                                    ((19, 2), 14)])
 def test_each_lattice_walks_at_its_cheapest_block_bits(dims, k):
     # 5x5 takes three whole columns; 2x4x5 two whole layers, whose boundary
-    # is 16 sites of degree 1.
+    # is 16 sites of degree 1.  Without the per-base adds of the estimate,
+    # 2x2x6 would walk at 14 and 5x8 at 15; without the per-piece call,
+    # 19x2 at 16.
     assert _chosen_k(LatticeSpec(*dims)) == k
 
 

@@ -108,6 +108,12 @@ MUTANTS = {
           "blocks = _plan(spec.rows, spec.cols, spec.depth, None, CELL_CAP)"),
          (WALK, "k = _plan(spec.rows, spec.cols, spec.depth, BLOCK_BITS, CELL_CAP).k",
           "k = _plan(spec.rows, spec.cols, spec.depth, None, CELL_CAP).k")]),
+    "cost-ignores-bases": (
+        "the block-size estimate leaves out each piece's one add per base",
+        [(WALK, " + 4.7e-7 * (1 << m - self.k)", "")]),
+    "cost-ignores-call": (
+        "the block-size estimate leaves out each piece's call",
+        [(WALK, "piece = 3.0e-5 + ", "piece = ")]),
     "out-special-file-renamed": (
         "a FIFO or symlink --out is written next to it and renamed over it",
         [("src/isingdos/cli.py", "if old is not None and not stat.S_ISREG(old.st_mode):",
@@ -166,8 +172,11 @@ def run_suite(tree):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])))
+    # tests/test_mutants.py checks the patches against the checkout, which a
+    # mutant's tree is not, and tests no library code.
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p",
-           "no:cacheprovider", "--continue-on-collection-errors"]
+           "no:cacheprovider", "--continue-on-collection-errors",
+           "--ignore=tests/test_mutants.py"]
     t0 = time.perf_counter()
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
